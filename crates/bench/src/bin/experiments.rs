@@ -12,12 +12,12 @@
 //!   ablations     §4 discussion items D1–D6
 //!   updates       §5 future-work update workload (FW1)
 //!   serving       §5 concurrent multi-reader serving throughput (FW2)
-//!                 plus the tail-latency axis (pushdown × hedging) and the
+//!                 plus the tail-latency axis (hedging off/on) and the
 //!                 ArborQL executor axis (tuple vs vectorized)
 //!                 (--json also writes BENCH_serving.json: seq-vs-par
 //!                 scatter throughput per shard count plus tuple-vs-
 //!                 vectorized executor rows, and BENCH_tail.json:
-//!                 p99/p50 per engine × shards × pushdown × hedging)
+//!                 p99/p50 per engine × shards × hedging)
 //!   chaos         §5 fault-injection robustness (retries/deadlines/degradation)
 //!   summary       §3.2 import/size headline comparison
 //!   all           everything above, in paper order

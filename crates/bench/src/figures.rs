@@ -11,7 +11,7 @@
 //! | §5 FW1   | [`update_throughput`] (the future-work update workload) |
 //! | §5 FW2   | [`serving`] (concurrent multi-reader throughput) |
 //! | §5 FW3   | [`chaos`] (fault-injection robustness, DESIGN.md §4d) |
-//! | §5 FW4   | [`tail_axis`]/[`tail_json`] (tail latency: pushdown × hedging, DESIGN.md §4f) |
+//! | §5 FW4   | [`tail_axis`]/[`tail_json`] (tail latency: hedging, DESIGN.md §4f) |
 
 use arbor_ql::EngineOptions;
 use arbor_ql::plan::PlannerOptions;
@@ -663,6 +663,7 @@ pub fn serving(f: &Fixture) -> String {
     // inside scatter_axis; only wall-clock may differ.
     out.push_str("-- Scatter execution: sequential vs parallel (1 reader) --\n\n");
     let rows = scatter_axis(f);
+    let (arbor_qps, bit_qps) = gap_headline(&rows);
     for pair in rows.chunks(2) {
         let (seq, par) = (&pair[0], &pair[1]);
         out.push_str(&format!(
@@ -677,6 +678,12 @@ pub fn serving(f: &Fixture) -> String {
             par.p99_ms,
         ));
     }
+    // Sharded backend gap (DESIGN.md §4h): the 4-shard parallel rows above,
+    // arbordb against bitgraph.
+    out.push_str(&format!(
+        "\ngap headline: bitgraph/arbordb = {:.2}x (4 shards, parallel)\n",
+        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
+    ));
     // Executor axis: arbordb's tuple-at-a-time oracle vs the vectorized
     // operators (DESIGN.md §4g). Digest equality across modes is asserted
     // inside exec_axis; only wall-clock may differ.
@@ -708,41 +715,6 @@ pub fn serving(f: &Fixture) -> String {
             i += 1;
         }
     }
-    // Sharded backend-gap axis: batched vs per-uid-loop kernels on 4-shard
-    // arbordb against 4-shard bitgraph (DESIGN.md §4h). Digest equality
-    // across all combinations is asserted inside gap_axis.
-    out.push_str("\n-- Sharded backend gap: kernel batching on/off vs bitgraph (4 shards) --\n\n");
-    let rows = gap_axis(f);
-    for r in &rows {
-        out.push_str(&format!(
-            "{} ({}, batched={}): {:.0} q/s, p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            r.engine,
-            r.scatter.label(),
-            r.batched,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    let arbor_qps = rows
-        .iter()
-        .find(|r| {
-            r.batched == "on" && matches!(r.scatter, micrograph_core::ScatterMode::Parallel)
-        })
-        .map(|r| r.qps)
-        .unwrap_or(0.0);
-    let bit_qps = rows
-        .iter()
-        .find(|r| {
-            r.batched == "native" && matches!(r.scatter, micrograph_core::ScatterMode::Parallel)
-        })
-        .map(|r| r.qps)
-        .unwrap_or(0.0);
-    out.push_str(&format!(
-        "\ngap headline: bitgraph/arbordb = {:.2}x (parallel, batched)\n",
-        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
-    ));
     // Mixed read/write axis (DESIGN.md §4j): group-commit batching and
     // non-blocking snapshot reads under a firehose write burst. Quiesced
     // digests are asserted equal inside mixed_axis.
@@ -896,9 +868,10 @@ pub struct ScatterRow {
 }
 
 /// Measures the scatter-mode axis: both sharded backends at 1/2/4 shards,
-/// Sequential then Parallel over the same stream, single reader. Asserts
-/// the mode flip never changes the serving digest. Rows come out in
-/// (shards, backend, mode) order — consecutive pairs are (seq, par).
+/// Sequential then Parallel over the same stream, single reader, after one
+/// unmeasured warmup pass per engine that absorbs cold-cache first-touches.
+/// Asserts the mode flip never changes the serving digest. Rows come out
+/// in (shards, backend, mode) order — consecutive pairs are (seq, par).
 pub fn scatter_axis(f: &Fixture) -> Vec<ScatterRow> {
     use micrograph_core::ingest::build_sharded_engines;
     use micrograph_core::ScatterMode;
@@ -911,6 +884,7 @@ pub fn scatter_axis(f: &Fixture) -> Vec<ScatterRow> {
             build_sharded_engines(&f.dataset, &f.dir.join(format!("scatter-axis-{shards}")), shards)
                 .expect("build sharded engines");
         for engine in [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit] {
+            serve(engine, &config).expect("warmup");
             let mut digest = None;
             for mode in [ScatterMode::Sequential, ScatterMode::Parallel] {
                 assert!(engine.set_scatter_mode(mode));
@@ -937,85 +911,20 @@ pub fn scatter_axis(f: &Fixture) -> Vec<ScatterRow> {
     rows
 }
 
-/// One measurement on the sharded backend-gap axis ([`gap_axis`]): the
-/// serve mix on a 4-shard composition, one combination of scatter mode ×
-/// kernel batching (DESIGN.md §4h).
-pub struct GapRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Scatter execution mode this row measured.
-    pub scatter: micrograph_core::ScatterMode,
-    /// Kernel batching: `"on"` / `"off"` for arbordb's toggle, `"native"`
-    /// for bitgraph (in-memory loops, nothing to batch).
-    pub batched: &'static str,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the sharded backend gap: both backends at 4 shards over the
-/// same single-reader stream, arbordb under every scatter × batching
-/// combination and bitgraph (no batching toggle) under both scatter
-/// modes. Asserts no toggle combination moves the serving digest. The
-/// headline is the last arbordb row (parallel + batched) against the last
-/// bitgraph row (parallel): the gap set-oriented kernels close.
-pub fn gap_axis(f: &Fixture) -> Vec<GapRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ScatterMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let shards = 4usize;
-    let (sharded_arbor, sharded_bit) =
-        build_sharded_engines(&f.dataset, &f.dir.join("gap-axis-4"), shards)
-            .expect("build sharded engines");
-    let mut rows = Vec::new();
-    for engine in [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit] {
-        serve(engine, &config).expect("warmup");
-        let batchings: &[&'static str] = if engine.batched_kernels().is_some() {
-            &["off", "on"]
-        } else {
-            &["native"]
-        };
-        let mut digest = None;
-        for &batched in batchings {
-            if batched != "native" {
-                assert!(engine.set_batched_kernels(batched == "on"));
-            }
-            for scatter in [ScatterMode::Sequential, ScatterMode::Parallel] {
-                assert!(engine.set_scatter_mode(scatter));
-                let report = serve(engine, &config).expect("serve");
-                let d = report.digest();
-                assert_eq!(
-                    *digest.get_or_insert(d),
-                    d,
-                    "{} answers changed under scatter={} batched={batched}",
-                    engine.name(),
-                    scatter.label()
-                );
-                rows.push(GapRow {
-                    engine: report.engine,
-                    shards,
-                    scatter,
-                    batched,
-                    qps: report.qps,
-                    p50_ms: report.p50_ms,
-                    p95_ms: report.p95_ms,
-                    p99_ms: report.p99_ms,
-                });
-            }
-        }
-        engine.set_batched_kernels(true);
-        engine.set_scatter_mode(ScatterMode::Parallel);
-    }
-    rows
+/// The sharded backend gap (DESIGN.md §4h) read off [`scatter_axis`]:
+/// `(arbordb qps, bitgraph qps)` of the 4-shard parallel rows.
+fn gap_headline(rows: &[ScatterRow]) -> (f64, f64) {
+    let qps = |backend: &str| {
+        rows.iter()
+            .find(|r| {
+                r.shards == 4
+                    && r.engine.contains(backend)
+                    && matches!(r.mode, micrograph_core::ScatterMode::Parallel)
+            })
+            .map(|r| r.qps)
+            .unwrap_or(0.0)
+    };
+    (qps("arbordb"), qps("bitgraph"))
 }
 
 /// One measurement on the replication axis ([`replica_axis`]): the serve
@@ -1220,27 +1129,6 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
         ));
     }
     out.push_str("  ],\n");
-    // Sharded backend-gap axis (DESIGN.md §4h): arbordb vs bitgraph at 4
-    // shards, scatter mode × kernel batching. Digests asserted equal
-    // inside gap_axis — batching is a pure performance toggle.
-    let gap_rows = gap_axis(f);
-    out.push_str("  \"gap_rows\": [\n");
-    for (i, r) in gap_rows.iter().enumerate() {
-        let comma = if i + 1 == gap_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"scatter\": \"{}\", \"batched\": \"{}\", \
-             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.scatter.label(),
-            r.batched,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
     // Replication axis (DESIGN.md §4i): qps and goodput vs R at 2 shards
     // / 4 reader threads, healthy plus the degraded (replica 0 of every
     // shard killed) replay at every R. Digests asserted equal inside
@@ -1302,24 +1190,11 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
          \"bitgraph_replica_dead_r1_goodput\": {bd1:.1}, \
          \"bitgraph_replica_dead_r2_goodput\": {bd2:.1}}},\n",
     ));
-    // The headline the gap axis exists for: batched parallel arbordb
-    // throughput as a fraction of parallel bitgraph, both at 4 shards.
-    let arbor_qps = gap_rows
-        .iter()
-        .find(|r| {
-            r.batched == "on" && matches!(r.scatter, micrograph_core::ScatterMode::Parallel)
-        })
-        .map(|r| r.qps)
-        .unwrap_or(0.0);
-    let bit_qps = gap_rows
-        .iter()
-        .find(|r| {
-            r.batched == "native" && matches!(r.scatter, micrograph_core::ScatterMode::Parallel)
-        })
-        .map(|r| r.qps)
-        .unwrap_or(0.0);
+    // The sharded backend gap: parallel arbordb throughput against parallel
+    // bitgraph, both at 4 shards (the scatter rows above).
+    let (arbor_qps, bit_qps) = gap_headline(&rows);
     out.push_str(&format!(
-        "  \"gap_headline\": {{\"arbordb_batched_parallel_qps\": {arbor_qps:.1}, \
+        "  \"gap_headline\": {{\"arbordb_parallel_qps\": {arbor_qps:.1}, \
          \"bitgraph_parallel_qps\": {bit_qps:.1}, \"bitgraph_over_arbordb\": {:.3}}},\n",
         bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
     ));
@@ -1377,15 +1252,12 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
 }
 
 /// One measurement on the tail-latency axis ([`tail_axis`]): a serving run
-/// with the per-shard top-n pushdown and deterministic hedging toggles in
-/// one of their four combinations (DESIGN.md §4f).
+/// with deterministic hedging off or on (DESIGN.md §4f).
 pub struct TailRow {
     /// Engine name (includes the shard count).
     pub engine: &'static str,
     /// Hash-partition count.
     pub shards: usize,
-    /// Whether Q3/Q4/Q5 merges ran over the bounded pushdown kernels.
-    pub pushdown: bool,
     /// Whether scatter hedging was armed (threshold [`TAIL_HEDGE_US`]).
     pub hedge: bool,
     /// Aggregate throughput (requests/s).
@@ -1409,10 +1281,10 @@ impl TailRow {
 pub const TAIL_HEDGE_US: u64 = 25;
 
 /// Measures the tail-latency axis: both sharded backends at 1/2/4 shards,
-/// all four {pushdown off/on} × {hedge off/on} combinations over the same
-/// single-reader stream, under a generous virtual deadline so hedging is
-/// armed. Asserts that no toggle combination moves the serving digest.
-/// Rows come out in (shards, backend, pushdown, hedge) order.
+/// hedging off then on over the same single-reader stream, under a
+/// generous virtual deadline so hedging is armed. Asserts that the hedge
+/// flip never moves the serving digest. Rows come out in (shards, backend,
+/// hedge) order.
 pub fn tail_axis(f: &Fixture) -> Vec<TailRow> {
     use micrograph_core::ingest::build_sharded_engines;
     let users = f.dataset.users.len() as u64;
@@ -1432,34 +1304,29 @@ pub fn tail_axis(f: &Fixture) -> Vec<TailRow> {
                 .expect("build sharded engines");
         for engine in [&sharded_arbor, &sharded_bit] {
             // One unmeasured pass absorbs cold-cache first-touches, so the
-            // four toggle rows compare warm-path tails fairly.
+            // two hedge rows compare warm-path tails fairly.
             serve(engine, &config).expect("warmup");
             let mut digest = None;
-            for pushdown in [false, true] {
-                for hedge in [false, true] {
-                    engine.set_pushdown(pushdown);
-                    engine.set_hedging(hedge.then_some(TAIL_HEDGE_US));
-                    let report = serve(engine, &config).expect("serve");
-                    let d = report.digest();
-                    assert_eq!(
-                        *digest.get_or_insert(d),
-                        d,
-                        "{} answers changed with pushdown={pushdown} hedge={hedge}",
-                        engine.name()
-                    );
-                    rows.push(TailRow {
-                        engine: report.engine,
-                        shards,
-                        pushdown,
-                        hedge,
-                        qps: report.qps,
-                        p50_ms: report.p50_ms,
-                        p95_ms: report.p95_ms,
-                        p99_ms: report.p99_ms,
-                    });
-                }
+            for hedge in [false, true] {
+                engine.set_hedging(hedge.then_some(TAIL_HEDGE_US));
+                let report = serve(engine, &config).expect("serve");
+                let d = report.digest();
+                assert_eq!(
+                    *digest.get_or_insert(d),
+                    d,
+                    "{} answers changed with hedge={hedge}",
+                    engine.name()
+                );
+                rows.push(TailRow {
+                    engine: report.engine,
+                    shards,
+                    hedge,
+                    qps: report.qps,
+                    p50_ms: report.p50_ms,
+                    p95_ms: report.p95_ms,
+                    p99_ms: report.p99_ms,
+                });
             }
-            engine.set_pushdown(true);
             engine.set_hedging(None);
         }
     }
@@ -1469,17 +1336,16 @@ pub fn tail_axis(f: &Fixture) -> Vec<TailRow> {
 /// Renders the tail axis as a text section of the serving experiment.
 pub fn tail_report(rows: &[TailRow]) -> String {
     let mut out = String::new();
-    out.push_str("-- Tail latency: top-n pushdown x hedging (1 reader, DESIGN.md 4f) --\n\n");
+    out.push_str("-- Tail latency: hedging off/on (1 reader, DESIGN.md 4f) --\n\n");
     out.push_str(&format!(
-        "{:<22} {:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>8}\n",
-        "engine", "shards", "pushdown", "hedge", "qps", "p50 ms", "p99 ms", "p99/p50"
+        "{:<22} {:>6} {:>6} {:>9} {:>9} {:>9} {:>8}\n",
+        "engine", "shards", "hedge", "qps", "p50 ms", "p99 ms", "p99/p50"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<22} {:>6} {:>9} {:>6} {:>9.0} {:>9.3} {:>9.3} {:>8.2}\n",
+            "{:<22} {:>6} {:>6} {:>9.0} {:>9.3} {:>9.3} {:>8.2}\n",
             r.engine,
             r.shards,
-            if r.pushdown { "on" } else { "off" },
             if r.hedge { "on" } else { "off" },
             r.qps,
             r.p50_ms,
@@ -1488,14 +1354,14 @@ pub fn tail_report(rows: &[TailRow]) -> String {
         ));
     }
     out.push_str(
-        "\n(all four toggle combinations are digest-identical; hedging is virtual-time\n\
+        "\n(both hedge settings are digest-identical; hedging is virtual-time\n\
          keyed, so its wall-clock effect on clean engines is nil by design)\n\n",
     );
     out
 }
 
 /// Renders the tail axis as the `BENCH_tail.json` artifact: p50/p99 and
-/// the p99/p50 tail ratio per engine × shard count × pushdown × hedging,
+/// the p99/p50 tail ratio per engine × shard count × hedging,
 /// plus a chaos section demonstrating hedge counters under a transient
 /// plan (answers pinned byte-identical to the fault-free run throughout).
 pub fn tail_json(f: &Fixture, scale: &str, rows: &[TailRow]) -> String {
@@ -1513,12 +1379,11 @@ pub fn tail_json(f: &Fixture, scale: &str, rows: &[TailRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"pushdown\": {}, \"hedge\": {}, \
+            "    {{\"engine\": \"{}\", \"shards\": {}, \"hedge\": {}, \
              \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
              \"p99_over_p50\": {:.3}}}{comma}\n",
             r.engine,
             r.shards,
-            r.pushdown,
             r.hedge,
             r.qps,
             r.p50_ms,

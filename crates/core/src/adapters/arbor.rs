@@ -119,28 +119,6 @@ const K_IN_COUNTS_BATCH: &str =
 const K_FRONTIER_BATCH: &str = "MATCH (a:user)-[:follows]-(x:user) WHERE a.uid IN $uids \
                                 RETURN DISTINCT x.uid ORDER BY x.uid";
 
-// Candidate-probe texts (the TA merge's exact-count phase, DESIGN.md §4f):
-// the candidate keys ride along as a second list parameter, filtered
-// engine-side, so a probe never recomputes the full local count map.
-
-const K_CO_MENTION_COUNTS_FOR: &str =
-    "MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)-[:mentions]->(b:user) \
-     WHERE b.uid <> $uid AND b.uid IN $keys \
-     RETURN b.uid, count(*) AS c ORDER BY b.uid ASC";
-
-const K_CO_TAG_COUNTS_FOR: &str =
-    "MATCH (g:hashtag {tag: $tag})<-[:tags]-(t:tweet)-[:tags]->(h:hashtag) \
-     WHERE h.tag <> $tag AND h.tag IN $keys \
-     RETURN h.tag, count(*) AS c ORDER BY h.tag ASC";
-
-const K_OUT_COUNTS_FOR: &str =
-    "MATCH (a:user)-[:follows]->(f:user) WHERE a.uid IN $uids AND f.uid IN $keys \
-     RETURN a.uid, f.uid, count(*) AS c ORDER BY a.uid, f.uid";
-
-const K_IN_COUNTS_FOR: &str =
-    "MATCH (x:user)-[:follows]->(a:user) WHERE a.uid IN $uids AND x.uid IN $keys \
-     RETURN a.uid, x.uid, count(*) AS c ORDER BY a.uid, x.uid";
-
 const K_CO_MENTION: &str =
     "MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)-[:mentions]->(b:user) \
      WHERE b.uid <> $uid \
@@ -155,9 +133,12 @@ const K_CO_TAG: &str =
 // (bound 0, DESIGN.md §4h): the grouped count costs the declarative engine
 // the same at any LIMIT, partials ship in-process, and a truncated answer
 // forces the TA merge into counts_for rounds that re-run the whole
-// grouping. Q5's pushdown reuses the monolithic Q5_1/Q5_2 texts, which
-// already carry a LIMIT (per-shard candidate sets are disjoint, so its
-// merge is single-round regardless of the bound).
+// grouping. Because no partial is ever truncated, the TA merge never
+// reaches its exact-count phase on this backend, and the candidate probes
+// keep the trait defaults (full kernel filtered to the keys). Q5's
+// pushdown reuses the monolithic Q5_1/Q5_2 texts, which already carry a
+// LIMIT (per-shard candidate sets are disjoint, so its merge is
+// single-round regardless of the bound).
 
 /// Lazily prepared plans for the kernel texts a shard fan-out runs hottest:
 /// each shard executes the same fixed text per scatter leg, so the adapter
@@ -172,10 +153,6 @@ struct PreparedKernels {
     out_counts_batch: OnceLock<Prepared>,
     in_counts_batch: OnceLock<Prepared>,
     frontier_batch: OnceLock<Prepared>,
-    co_mention_counts_for: OnceLock<Prepared>,
-    co_tag_counts_for: OnceLock<Prepared>,
-    out_counts_for: OnceLock<Prepared>,
-    in_counts_for: OnceLock<Prepared>,
 }
 
 /// How often each uid occurs in a kernel's input list. `IN` dedups its
@@ -209,10 +186,6 @@ pub struct ArborEngine {
     db: Arc<GraphDb>,
     ql: QueryEngine,
     prep: PreparedKernels,
-    /// Whether kernels run their whole uid batch as one `IN $uids` query
-    /// (the default) or one singleton query per uid — the pre-batching
-    /// baseline kept selectable for the serving-gap artifact.
-    batched: std::sync::atomic::AtomicBool,
 }
 
 impl ArborEngine {
@@ -222,7 +195,6 @@ impl ArborEngine {
             ql: QueryEngine::new(db.clone()),
             db,
             prep: PreparedKernels::default(),
-            batched: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
@@ -232,12 +204,7 @@ impl ArborEngine {
             ql: QueryEngine::with_options(db.clone(), options),
             db,
             prep: PreparedKernels::default(),
-            batched: std::sync::atomic::AtomicBool::new(true),
         }
-    }
-
-    fn batched_enabled(&self) -> bool {
-        self.batched.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Prepares `text` once per engine; a racing second caller just drops
@@ -304,20 +271,6 @@ impl ArborEngine {
             let target = row[1].as_int().expect("target uid");
             let count = row[2].as_int().expect("count") as u64;
             pairs.push((target, count * mult[&anchor]));
-        }
-        Ok(merge_count_runs(pairs))
-    }
-
-    /// The pre-batching baseline for a count kernel: one singleton query
-    /// per uid, summed client-side.
-    fn looped_counts(
-        &self,
-        uids: &[i64],
-        per_uid: impl Fn(i64) -> Result<Vec<(i64, u64)>>,
-    ) -> Result<Vec<(i64, u64)>> {
-        let mut pairs = Vec::new();
-        for &uid in uids {
-            pairs.extend(per_uid(uid)?);
         }
         Ok(merge_count_runs(pairs))
     }
@@ -592,14 +545,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn posted_tweets_kernel(&self, uids: &[i64]) -> Result<Vec<i64>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut out = Vec::new();
-            for &uid in uids {
-                out.extend(self.posted_tweets_kernel(&[uid])?);
-            }
-            out.sort_unstable();
-            return Ok(out);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -619,15 +564,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn hashtags_kernel(&self, uids: &[i64]) -> Result<Vec<String>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut tags: Vec<String> = Vec::new();
-            for &uid in uids {
-                tags.extend(self.hashtags_kernel(&[uid])?);
-            }
-            tags.sort_unstable();
-            tags.dedup();
-            return Ok(tags);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -640,9 +576,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn count_followees_kernel(&self, uids: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            return self.looped_counts(uids, |uid| self.count_followees_kernel(&[uid]));
-        }
         self.grouped_counts(
             &self.prep.out_counts_batch,
             K_OUT_COUNTS_BATCH,
@@ -652,9 +585,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn count_followers_kernel(&self, uids: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            return self.looped_counts(uids, |uid| self.count_followers_kernel(&[uid]));
-        }
         self.grouped_counts(
             &self.prep.in_counts_batch,
             K_IN_COUNTS_BATCH,
@@ -687,15 +617,6 @@ impl MicroblogEngine for ArborEngine {
     fn follow_frontier_kernel(&self, uids: &[i64]) -> Result<Vec<i64>> {
         // One undirected BFS round over locally stored follows edges, as a
         // single batched query (DISTINCT + ORDER BY give the sorted set).
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut next: Vec<i64> = Vec::new();
-            for &uid in uids {
-                next.extend(self.follow_frontier_kernel(&[uid])?);
-            }
-            next.sort_unstable();
-            next.dedup();
-            return Ok(next);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -705,86 +626,6 @@ impl MicroblogEngine for ArborEngine {
             .iter()
             .map(|row| row[0].as_int().expect("uid column"))
             .collect())
-    }
-
-    // ---- candidate-probe kernels: keys filtered engine-side ----------------
-
-    fn co_mention_counts_for_kernel(&self, uid: i64, keys: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            // Pre-batching baseline: the trait-default shape (full local
-            // counts, filtered client-side).
-            return Ok(crate::engine::counts_for(self.co_mention_counts_kernel(uid)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = self.prepared(&self.prep.co_mention_counts_for, K_CO_MENTION_COUNTS_FOR)?;
-        let r = self
-            .ql
-            .query_prepared(p, &[("uid", Value::Int(uid)), ("keys", Value::from(keys))])?;
-        Ok(r.rows
-            .iter()
-            .map(|row| (row[0].as_int().expect("uid"), row[1].as_int().expect("count") as u64))
-            .collect())
-    }
-
-    fn co_tag_counts_for_kernel(&self, tag: &str, keys: &[String]) -> Result<Vec<(String, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.co_tag_counts_kernel(tag)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = self.prepared(&self.prep.co_tag_counts_for, K_CO_TAG_COUNTS_FOR)?;
-        let key_list = Value::List(keys.iter().map(|k| Value::from(k.as_str())).collect());
-        let r = self.ql.query_prepared(p, &[("tag", Value::from(tag)), ("keys", key_list)])?;
-        Ok(r.rows
-            .iter()
-            .map(|row| {
-                (
-                    row[0].as_str().expect("tag").to_owned(),
-                    row[1].as_int().expect("count") as u64,
-                )
-            })
-            .collect())
-    }
-
-    fn count_followees_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.count_followees_kernel(uids)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.grouped_counts(
-            &self.prep.out_counts_for,
-            K_OUT_COUNTS_FOR,
-            uids,
-            &[("uids", Value::from(uids)), ("keys", Value::from(keys))],
-        )
-    }
-
-    fn count_followers_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.count_followers_kernel(uids)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.grouped_counts(
-            &self.prep.in_counts_for,
-            K_IN_COUNTS_FOR,
-            uids,
-            &[("uids", Value::from(uids)), ("keys", Value::from(keys))],
-        )
     }
 
     // ---- top-n pushdown kernels: LIMIT pushed into the sort operator -------
@@ -959,15 +800,6 @@ impl MicroblogEngine for ArborEngine {
 
     fn set_exec_mode(&self, mode: ExecMode) -> bool {
         self.ql.set_exec_mode(mode);
-        true
-    }
-
-    fn batched_kernels(&self) -> Option<bool> {
-        Some(self.batched_enabled())
-    }
-
-    fn set_batched_kernels(&self, on: bool) -> bool {
-        self.batched.store(on, std::sync::atomic::Ordering::Relaxed);
         true
     }
 }

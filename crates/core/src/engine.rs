@@ -435,18 +435,18 @@ pub trait MicroblogEngine: Send + Sync {
         false
     }
 
-    /// Whether shard-local kernels execute their whole uid batch as ONE
-    /// set-oriented query (DESIGN.md §4h) — `None` for engines without a
-    /// batching toggle (bitgraph's kernels are native in-memory loops with
-    /// no per-call dispatch to amortize). Like the other toggles, a pure
-    /// performance switch: flipping it never moves a byte of any answer.
+    /// Default-only hook: no engine overrides it, so it is always `None`.
+    /// Shard-local kernels always run their whole uid batch as ONE
+    /// set-oriented query (DESIGN.md §4h); there is no per-uid path left
+    /// to select. Kept on the trait only because the benchmark's tracing
+    /// wrapper (`perfbench/src/trace.rs`) forwards it by name.
     fn batched_kernels(&self) -> Option<bool> {
         None
     }
 
-    /// Switches kernel batching at runtime, returning `false` when the
-    /// engine has no toggle. `&self` like every other method — benches
-    /// flip one built engine between modes mid-run.
+    /// Default-only hook: no engine overrides it, so it always returns
+    /// `false` (nothing to switch). Kept for the same reason as
+    /// [`MicroblogEngine::batched_kernels`].
     fn set_batched_kernels(&self, _on: bool) -> bool {
         false
     }

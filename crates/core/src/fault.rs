@@ -1046,15 +1046,6 @@ impl MicroblogEngine for ChaosEngine {
         self.inner.set_exec_mode(mode)
     }
 
-    fn batched_kernels(&self) -> Option<bool> {
-        self.inner.batched_kernels()
-    }
-
-    fn set_batched_kernels(&self, on: bool) -> bool {
-        // Ungated, like the other instrumentation passthroughs.
-        self.inner.set_batched_kernels(on)
-    }
-
     fn write_mode(&self) -> Option<crate::engine::WriteMode> {
         self.inner.write_mode()
     }

@@ -11,8 +11,9 @@
 //! * the `*_counts_for_kernel` candidate probes equal the full kernel
 //!   filtered to the candidate keys (the trait-default shape);
 //! * an empty uid list is a valid query: empty results, never an error;
-//! * Q6.1's bidirectional frontier exchange returns exactly what the
-//!   one-sided BFS oracle returns, at every max-hops cap.
+//! * Q6.1's bidirectional frontier exchange on every sharded engine
+//!   returns exactly what the monolith of the same backend returns, at
+//!   every max-hops cap.
 
 use arbor_ql::ExecMode;
 use micrograph_core::engine::MicroblogEngine;
@@ -42,8 +43,9 @@ fn base_config(seed: u64) -> GenConfig {
     cfg
 }
 
-/// The 8-engine matrix (2 monoliths + 2 backends × shards ∈ {1, 2, 4}),
-/// with the sharded engines also held concretely for the BFS toggle.
+/// The 8-engine matrix (2 monoliths + 2 backends × shards ∈ {1, 2, 4}).
+/// Both lists alternate arbordb, bitgraph, so `sharded[i]` runs the
+/// backend of `monoliths[i % 2]`.
 struct Matrix {
     monoliths: Vec<Box<dyn MicroblogEngine>>,
     sharded: Vec<ShardedEngine>,
@@ -223,58 +225,21 @@ fn duplicate_uids_count_per_occurrence() {
 }
 
 #[test]
-fn batching_toggle_never_changes_answers() {
-    // `set_batched_kernels(false)` selects the pre-batching baseline (one
-    // singleton query per uid; candidate probes via full-kernel filter).
-    // Flipping it must not move a byte — on the monolith or any sharded
-    // composition over the declarative backend.
-    let m = matrix(304);
-    let uids = [1i64, 4, 9, 9, 23, 99999];
-    for e in m.refs() {
-        if e.batched_kernels() != Some(true) {
-            continue; // bitgraph: native loops, no toggle
-        }
-        let snapshot = |e: &dyn MicroblogEngine| {
-            let full = e.count_followees_kernel(&uids).unwrap();
-            let keys = candidate_keys(&full);
-            (
-                e.posted_tweets_kernel(&uids).unwrap(),
-                e.hashtags_kernel(&uids).unwrap(),
-                e.count_followers_kernel(&uids).unwrap(),
-                e.follow_frontier_kernel(&uids).unwrap(),
-                e.count_followees_counts_for_kernel(&uids, &keys).unwrap(),
-                e.co_mention_counts_for_kernel(1, &keys).unwrap(),
-                e.recommend_followees(1, 10).unwrap(),
-                e.shortest_path_len(1, 40, 4).unwrap(),
-                full,
-            )
-        };
-        let batched = snapshot(e);
-        assert!(e.set_batched_kernels(false));
-        assert_eq!(e.batched_kernels(), Some(false), "{}", e.name());
-        let looped = snapshot(e);
-        assert!(e.set_batched_kernels(true));
-        assert_eq!(batched, looped, "{}: batching toggle changed an answer", e.name());
-    }
-}
-
-#[test]
-fn bidirectional_bfs_matches_the_one_sided_oracle() {
+fn bidirectional_bfs_matches_the_monolith() {
     let m = matrix(303);
     let pairs =
         [(1i64, 2i64), (3, 50), (10, 55), (5, 5), (7, 59), (40, 2), (1, 99999), (99999, 1)];
-    for s in &m.sharded {
+    for (i, s) in m.sharded.iter().enumerate() {
+        let mono = m.monoliths[i % 2].as_ref();
+        assert!(s.name().contains(mono.name()), "{} vs {}", s.name(), mono.name());
         for (a, b) in pairs {
             for max in [0u32, 1, 2, 3, 4, 6, 10] {
-                s.set_bidirectional_bfs(false);
-                let oracle = s.shortest_path_len(a, b, max).unwrap();
-                s.set_bidirectional_bfs(true);
-                let bidir = s.shortest_path_len(a, b, max).unwrap();
                 assert_eq!(
-                    oracle,
-                    bidir,
-                    "{}: {a}->{b} max {max}: frontier exchange changed the answer",
-                    s.name()
+                    mono.shortest_path_len(a, b, max).unwrap(),
+                    s.shortest_path_len(a, b, max).unwrap(),
+                    "{}: {a}->{b} max {max}: frontier exchange diverged from {}",
+                    s.name(),
+                    mono.name()
                 );
             }
         }

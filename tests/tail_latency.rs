@@ -1,10 +1,10 @@
 //! Tail-latency engineering invariants (DESIGN.md §4f): the per-shard
 //! top-n pushdown merge and deterministic hedged requests are pure
-//! performance features — flipping either one (or both) must never move
-//! a single byte of any answer. Pushdown-merge ≡ full-count-map merge is
-//! pinned across the 8-engine matrix, hedge-on ≡ hedge-off across clean
-//! and transient-chaos runs, and per-class deadlines shed scatter
-//! stragglers deterministically in Partial mode.
+//! performance features — neither may move a single byte of any answer.
+//! Pushdown-merge ≡ monolith is pinned across the 8-engine matrix,
+//! hedge-on ≡ hedge-off across clean and transient-chaos runs, and
+//! per-class deadlines shed scatter stragglers deterministically in
+//! Partial mode.
 
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::fault::silence_injected_panics;
@@ -41,17 +41,16 @@ fn config(threads: usize, requests: usize) -> ServeConfig {
     ServeConfig { threads, requests, seed: 7, users: USERS, vocab: 16, ..Default::default() }
 }
 
-/// Everything a pushdown/hedge flip must keep identical on a clean engine.
+/// Everything a hedge flip must keep identical on a clean engine.
 fn fingerprint(r: &ServeReport) -> (Vec<String>, u64, u64, String) {
     (r.rendered.clone(), r.errors, r.degraded, r.faults.to_string())
 }
 
 #[test]
-fn pushdown_flip_matches_the_monolith_across_the_matrix() {
-    // The 8-engine matrix with the pushdown axis added: for every sharded
-    // engine, the threshold-algorithm merge over bounded `*_topn_kernel`
-    // partials must answer the full Q1–Q6 sweep identically to the
-    // full-count-map merge AND to the monolith reference.
+fn pushdown_merge_matches_the_monolith_across_the_matrix() {
+    // The 8-engine matrix: for every sharded engine, the threshold-
+    // algorithm merge over bounded `*_topn_kernel` partials must answer
+    // the full Q1–Q6 sweep identically to the monolith reference.
     let (ds, g) = dataset(91, "matrix");
     let files = ds.write_csv(&g.0.join("mono")).unwrap();
     let (arbor, bit, _) = micrograph_core::ingest::build_engines(&files).unwrap();
@@ -73,44 +72,9 @@ fn pushdown_flip_matches_the_monolith_across_the_matrix() {
             let expected = run_query(reference, q, &params).unwrap();
             assert_eq!(expected, run_query(&bit, q, &params).unwrap(), "{}", q.label());
             for s in &sharded {
-                for pushdown in [true, false] {
-                    s.set_pushdown(pushdown);
-                    let got = run_query(s, q, &params).unwrap();
-                    assert_eq!(
-                        expected,
-                        got,
-                        "{} on {} pushdown={pushdown} diverged from monolith",
-                        q.label(),
-                        s.name()
-                    );
-                }
-                s.set_pushdown(true);
+                let got = run_query(s, q, &params).unwrap();
+                assert_eq!(expected, got, "{} on {} diverged from monolith", q.label(), s.name());
             }
-        }
-    }
-}
-
-#[test]
-fn pushdown_flip_keeps_serve_digests() {
-    // Full serving runs: digest and fingerprint are invariant under the
-    // pushdown flip for every backend × shard count.
-    let (ds, g) = dataset(92, "digest");
-    for shards in [1usize, 2, 4] {
-        let (sa, sb) =
-            build_sharded_engines(&ds, &g.0.join(format!("s{shards}")), shards).unwrap();
-        for engine in [&sa, &sb] {
-            engine.set_pushdown(true);
-            let on = serve(engine, &config(2, 128)).unwrap();
-            engine.set_pushdown(false);
-            let off = serve(engine, &config(2, 128)).unwrap();
-            engine.set_pushdown(true);
-            assert_eq!(
-                fingerprint(&on),
-                fingerprint(&off),
-                "{} x{shards}: pushdown flip moved the fingerprint",
-                engine.name()
-            );
-            assert_eq!(on.digest(), off.digest(), "{} digest", engine.name());
         }
     }
 }
@@ -182,37 +146,6 @@ fn transient_chaos_hedging_preserves_the_clean_digest() {
             "x{threads}: healthy hedge attempts should beat faulted retry ladders"
         );
     }
-}
-
-#[test]
-fn pushdown_flip_is_invariant_under_masked_transient_chaos() {
-    // Transient faults are fully masked by the retry budget, so the
-    // pushdown flip stays answer-invariant even on a chaos engine — the
-    // extra TA round-trips just see (and mask) more injected faults.
-    silence_injected_panics();
-    let (ds, g) = dataset(95, "chaos-pushdown");
-    let (clean, _) = build_sharded_engines(&ds, &g.0.join("clean"), 4).unwrap();
-    let (chaos, _) = build_chaos_sharded_engines(
-        &ds,
-        &g.0.join("chaos"),
-        4,
-        FaultPlan::transient(9),
-        RetryPolicy::default(),
-        DegradationMode::Strict,
-    )
-    .unwrap();
-    let base = serve(&clean, &config(1, 96)).unwrap();
-    chaos.set_pushdown(true);
-    let on = serve(&chaos, &config(1, 96)).unwrap();
-    chaos.set_pushdown(false);
-    let off = serve(&chaos, &config(1, 96)).unwrap();
-    chaos.set_pushdown(true);
-    // Fault counters differ (the TA loop makes a different number of
-    // kernel calls), but every answer byte matches the clean run.
-    assert_eq!(on.rendered, base.rendered, "pushdown: chaos leaked into answers");
-    assert_eq!(off.rendered, base.rendered, "full-map: chaos leaked into answers");
-    assert_eq!(on.digest(), off.digest());
-    assert_eq!(on.errors + off.errors, 0);
 }
 
 #[test]
@@ -290,32 +223,32 @@ fn class_rows_partition_a_clean_serving_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// For random datasets and top-n limits, the pushdown merge and the
-    /// full-count-map merge return identical rows for every top-n query on
-    /// both backends — the TA bound logic can never change an answer, only
+    /// For random datasets and top-n limits, the sharded pushdown merge
+    /// returns the same rows as the monolith of the same backend for every
+    /// top-n query — the TA bound logic can never change an answer, only
     /// how many candidates cross the wire.
     #[test]
-    fn pushdown_merge_equals_full_map_merge(
+    fn pushdown_merge_equals_the_monolith(
         data_seed in 300u64..400,
         n in 1usize..24,
     ) {
         let (ds, g) = dataset(data_seed, "prop");
+        let files = ds.write_csv(&g.0.join("mono")).unwrap();
+        let (arbor, bit, _) = micrograph_core::ingest::build_engines(&files).unwrap();
         let (sa, sb) = build_sharded_engines(&ds, &g.0.join("s"), 2).unwrap();
         let mut rng = micrograph_common::rng::SplitMix64::new(data_seed);
         let mut params = QueryParams::sample(&mut rng, USERS, 8);
         params.n = n;
+        let pairs: [(&dyn MicroblogEngine, &dyn MicroblogEngine); 2] =
+            [(&arbor, &sa), (&bit, &sb)];
         for q in [QueryId::Q3_1, QueryId::Q3_2, QueryId::Q4_1, QueryId::Q4_2,
                   QueryId::Q5_1, QueryId::Q5_2] {
-            for engine in [&sa, &sb] {
-                engine.set_pushdown(true);
-                let on = run_query(engine, q, &params).unwrap();
-                engine.set_pushdown(false);
-                let off = run_query(engine, q, &params).unwrap();
-                engine.set_pushdown(true);
+            for (mono, sharded) in pairs {
                 prop_assert_eq!(
-                    on, off,
-                    "{} n={} seed={}: pushdown changed the answer on {}",
-                    q.label(), n, data_seed, engine.name()
+                    run_query(mono, q, &params).unwrap(),
+                    run_query(sharded, q, &params).unwrap(),
+                    "{} n={} seed={}: {} diverged from {}",
+                    q.label(), n, data_seed, sharded.name(), mono.name()
                 );
             }
         }
