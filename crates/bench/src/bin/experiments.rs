@@ -12,12 +12,11 @@
 //!   ablations     §4 discussion items D1–D6
 //!   updates       §5 future-work update workload (FW1)
 //!   serving       §5 concurrent multi-reader serving throughput (FW2)
-//!                 plus the tail-latency axis (hedging off/on) and the
-//!                 ArborQL executor axis (tuple vs vectorized)
+//!                 plus the ArborQL executor axis (tuple vs vectorized)
 //!                 (--json also writes BENCH_serving.json: seq-vs-par
-//!                 scatter throughput per shard count plus tuple-vs-
-//!                 vectorized executor rows, and BENCH_tail.json:
-//!                 p99/p50 per engine × shards × hedging)
+//!                 scatter throughput and p50/p95/p99 per shard count,
+//!                 tuple-vs-vectorized executor rows, replica rows and
+//!                 mixed read/write rows)
 //!   chaos         §5 fault-injection robustness (retries/deadlines/degradation)
 //!   summary       §3.2 import/size headline comparison
 //!   all           everything above, in paper order
@@ -135,18 +134,12 @@ fn main() {
         "updates" => print!("{}", figures::update_throughput(f)),
         "serving" => {
             print!("{}", figures::serving(f));
-            let tail_rows = figures::tail_axis(f);
-            print!("{}", figures::tail_report(&tail_rows));
             if args.rest.iter().any(|a| a == "--json") {
                 let scale = format!("{:?}", args.scale).to_ascii_lowercase();
-                for (path, json) in [
-                    (PathBuf::from("BENCH_serving.json"), figures::serving_json(f, &scale)),
-                    (PathBuf::from("BENCH_tail.json"), figures::tail_json(f, &scale, &tail_rows)),
-                ] {
-                    match std::fs::write(&path, &json) {
-                        Ok(()) => eprintln!("# wrote {}", path.display()),
-                        Err(e) => eprintln!("# {} write failed: {e}", path.display()),
-                    }
+                let path = PathBuf::from("BENCH_serving.json");
+                match std::fs::write(&path, figures::serving_json(f, &scale)) {
+                    Ok(()) => eprintln!("# wrote {}", path.display()),
+                    Err(e) => eprintln!("# {} write failed: {e}", path.display()),
                 }
             }
         }
@@ -167,7 +160,6 @@ fn main() {
             print!("{}", figures::ablations(f));
             print!("{}", figures::update_throughput(f));
             print!("{}", figures::serving(f));
-            print!("{}", figures::tail_report(&figures::tail_axis(f)));
             print!("{}", figures::chaos(f));
         }
         other => {

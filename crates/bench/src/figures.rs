@@ -11,7 +11,7 @@
 //! | §5 FW1   | [`update_throughput`] (the future-work update workload) |
 //! | §5 FW2   | [`serving`] (concurrent multi-reader throughput) |
 //! | §5 FW3   | [`chaos`] (fault-injection robustness, DESIGN.md §4d) |
-//! | §5 FW4   | [`tail_axis`]/[`tail_json`] (tail latency: hedging, DESIGN.md §4f) |
+//! | §5 FW4   | [`serving_json`] (tail latency: p50/p95/p99 per scatter row, DESIGN.md §4f) |
 
 use arbor_ql::EngineOptions;
 use arbor_ql::plan::PlannerOptions;
@@ -1082,6 +1082,18 @@ pub fn replica_axis(f: &Fixture) -> Vec<ReplicaRow> {
     rows
 }
 
+/// Writes one `"key": [...]` array of `BENCH_serving.json`: a row object
+/// per line, its fields rendered by `fields` (everything between the
+/// braces), comma-separated, and the closing `],`.
+fn push_rows<R>(out: &mut String, key: &str, rows: &[R], fields: impl Fn(&R) -> String) {
+    out.push_str(&format!("  \"{key}\": [\n"));
+    for (i, r) in rows.iter().enumerate() {
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("    {{{}}}{comma}\n", fields(r)));
+    }
+    out.push_str("  ],\n");
+}
+
 /// Renders the scatter-mode axis as the `BENCH_serving.json` artifact:
 /// sequential vs parallel throughput and latency percentiles per backend
 /// and shard count, one reader thread.
@@ -1093,12 +1105,10 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
     out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     out.push_str("  \"threads\": 1,\n");
     out.push_str("  \"requests\": 128,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
+    push_rows(&mut out, "rows", &rows, |r| {
+        format!(
+            "\"engine\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"qps\": {:.1}, \
+             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}",
             r.engine,
             r.shards,
             r.mode.label(),
@@ -1106,19 +1116,16 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
             r.p50_ms,
             r.p95_ms,
             r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     // Executor axis (DESIGN.md §4g): tuple vs vectorized on arbordb,
     // monolithic (shards = 0) and sharded. Digests asserted equal inside
     // exec_axis — only throughput/latency may differ between modes.
     let exec_rows = exec_axis(f);
-    out.push_str("  \"exec_rows\": [\n");
-    for (i, r) in exec_rows.iter().enumerate() {
-        let comma = if i + 1 == exec_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"exec\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
+    push_rows(&mut out, "exec_rows", &exec_rows, |r| {
+        format!(
+            "\"engine\": \"{}\", \"shards\": {}, \"exec\": \"{}\", \"qps\": {:.1}, \
+             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}",
             r.engine,
             r.shards,
             r.exec,
@@ -1126,22 +1133,19 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
             r.p50_ms,
             r.p95_ms,
             r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     // Replication axis (DESIGN.md §4i): qps and goodput vs R at 2 shards
     // / 4 reader threads, healthy plus the degraded (replica 0 of every
     // shard killed) replay at every R. Digests asserted equal inside
     // replica_axis.
     let replica_rows = replica_axis(f);
-    out.push_str("  \"replica_rows\": [\n");
-    for (i, r) in replica_rows.iter().enumerate() {
-        let comma = if i + 1 == replica_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"replicas\": {}, \"threads\": {}, \
+    push_rows(&mut out, "replica_rows", &replica_rows, |r| {
+        format!(
+            "\"engine\": \"{}\", \"shards\": {}, \"replicas\": {}, \"threads\": {}, \
              \"condition\": \"{}\", \"qps\": {:.1}, \"goodput\": {:.1}, \"errors\": {}, \
              \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"failovers\": {}, \
-             \"replica_reads\": {}}}{comma}\n",
+             \"replica_reads\": {}",
             r.engine,
             r.shards,
             r.replicas,
@@ -1155,9 +1159,8 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
             r.p99_ms,
             r.failovers,
             r.replica_reads,
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     // The replication headline: scatter goodput from R = 1 to R = 2 per
     // backend with one replica of every shard permanently dead (2 shards,
     // 4 readers) — the comparison replication exists for, and one that
@@ -1203,13 +1206,11 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
     // query mix. Quiesced digests asserted equal inside mixed_axis — batch
     // size, batching, and write mode are pure performance toggles.
     let mixed_rows = mixed_axis(f);
-    out.push_str("  \"mixed_rows\": [\n");
-    for (i, r) in mixed_rows.iter().enumerate() {
-        let comma = if i + 1 == mixed_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"batched\": {}, \
+    push_rows(&mut out, "mixed_rows", &mixed_rows, |r| {
+        format!(
+            "\"engine\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"batched\": {}, \
              \"write_eps\": {:.1}, \"write_p99_ms\": {:.4}, \"read_qps\": {:.1}, \
-             \"read_p50_ms\": {:.4}, \"read_p95_ms\": {:.4}, \"read_p99_ms\": {:.4}}}{comma}\n",
+             \"read_p50_ms\": {:.4}, \"read_p95_ms\": {:.4}, \"read_p99_ms\": {:.4}",
             r.engine,
             r.mode,
             r.batch,
@@ -1220,9 +1221,8 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
             r.read_p50_ms,
             r.read_p95_ms,
             r.read_p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     // The mixed headline: group-commit ingest scaling on arbordb's WAL and
     // the snapshot-vs-locked reader tail on bitgraph.
     let mixed_val = |engine: &str, mode: &str, batch: usize, read: bool| {
@@ -1248,199 +1248,6 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
         mixed_val("bitgraph", "locked", 64, true),
     ));
     out.push_str("}\n");
-    out
-}
-
-/// One measurement on the tail-latency axis ([`tail_axis`]): a serving run
-/// with deterministic hedging off or on (DESIGN.md §4f).
-pub struct TailRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Whether scatter hedging was armed (threshold [`TAIL_HEDGE_US`]).
-    pub hedge: bool,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-impl TailRow {
-    /// The tail-compression headline: p99 as a multiple of p50.
-    pub fn tail_ratio(&self) -> f64 {
-        self.p99_ms / self.p50_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Straggler threshold (virtual us) the tail axis arms hedging with.
-pub const TAIL_HEDGE_US: u64 = 25;
-
-/// Measures the tail-latency axis: both sharded backends at 1/2/4 shards,
-/// hedging off then on over the same single-reader stream, under a
-/// generous virtual deadline so hedging is armed. Asserts that the hedge
-/// flip never moves the serving digest. Rows come out in (shards, backend,
-/// hedge) order.
-pub fn tail_axis(f: &Fixture) -> Vec<TailRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    let users = f.dataset.users.len() as u64;
-    let config = ServeConfig {
-        threads: 1,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        deadline_us: Some(50_000_000),
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (sharded_arbor, sharded_bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("tail-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        for engine in [&sharded_arbor, &sharded_bit] {
-            // One unmeasured pass absorbs cold-cache first-touches, so the
-            // two hedge rows compare warm-path tails fairly.
-            serve(engine, &config).expect("warmup");
-            let mut digest = None;
-            for hedge in [false, true] {
-                engine.set_hedging(hedge.then_some(TAIL_HEDGE_US));
-                let report = serve(engine, &config).expect("serve");
-                let d = report.digest();
-                assert_eq!(
-                    *digest.get_or_insert(d),
-                    d,
-                    "{} answers changed with hedge={hedge}",
-                    engine.name()
-                );
-                rows.push(TailRow {
-                    engine: report.engine,
-                    shards,
-                    hedge,
-                    qps: report.qps,
-                    p50_ms: report.p50_ms,
-                    p95_ms: report.p95_ms,
-                    p99_ms: report.p99_ms,
-                });
-            }
-            engine.set_hedging(None);
-        }
-    }
-    rows
-}
-
-/// Renders the tail axis as a text section of the serving experiment.
-pub fn tail_report(rows: &[TailRow]) -> String {
-    let mut out = String::new();
-    out.push_str("-- Tail latency: hedging off/on (1 reader, DESIGN.md 4f) --\n\n");
-    out.push_str(&format!(
-        "{:<22} {:>6} {:>6} {:>9} {:>9} {:>9} {:>8}\n",
-        "engine", "shards", "hedge", "qps", "p50 ms", "p99 ms", "p99/p50"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>6} {:>6} {:>9.0} {:>9.3} {:>9.3} {:>8.2}\n",
-            r.engine,
-            r.shards,
-            if r.hedge { "on" } else { "off" },
-            r.qps,
-            r.p50_ms,
-            r.p99_ms,
-            r.tail_ratio(),
-        ));
-    }
-    out.push_str(
-        "\n(both hedge settings are digest-identical; hedging is virtual-time\n\
-         keyed, so its wall-clock effect on clean engines is nil by design)\n\n",
-    );
-    out
-}
-
-/// Renders the tail axis as the `BENCH_tail.json` artifact: p50/p99 and
-/// the p99/p50 tail ratio per engine × shard count × hedging,
-/// plus a chaos section demonstrating hedge counters under a transient
-/// plan (answers pinned byte-identical to the fault-free run throughout).
-pub fn tail_json(f: &Fixture, scale: &str, rows: &[TailRow]) -> String {
-    use micrograph_core::fault::silence_injected_panics;
-    use micrograph_core::ingest::{build_chaos_sharded_engines, build_sharded_engines};
-    use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy};
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"serving_tail_latency\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str("  \"requests\": 128,\n");
-    out.push_str(&format!("  \"hedge_threshold_us\": {TAIL_HEDGE_US},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"hedge\": {}, \
-             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"p99_over_p50\": {:.3}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.hedge,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.tail_ratio(),
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // Chaos section: under a transient plan the hedge counters move (and
-    // hedges win against faulted retry ladders), while the digest stays
-    // pinned to the fault-free run with hedging on or off.
-    silence_injected_panics();
-    let users = f.dataset.users.len() as u64;
-    let config = ServeConfig {
-        threads: 1,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        deadline_us: Some(50_000_000),
-        ..Default::default()
-    };
-    let (clean, _) = build_sharded_engines(&f.dataset, &f.dir.join("tail-chaos-clean"), 4)
-        .expect("build clean");
-    let baseline = serve(&clean, &config).expect("serve baseline");
-    let (chaos, _) = build_chaos_sharded_engines(
-        &f.dataset,
-        &f.dir.join("tail-chaos"),
-        4,
-        FaultPlan::transient(3),
-        RetryPolicy::default(),
-        DegradationMode::Strict,
-    )
-    .expect("build chaos");
-    out.push_str("  \"chaos\": {\"plan\": \"transient\", \"shards\": 4, \"legs\": [\n");
-    for hedge in [false, true] {
-        chaos.set_hedging(hedge.then_some(TAIL_HEDGE_US));
-        let report = serve(&chaos, &config).expect("serve chaos");
-        assert_eq!(
-            report.digest(),
-            baseline.digest(),
-            "transient faults leaked into answers (hedge={hedge})"
-        );
-        let comma = if hedge { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"hedge\": {hedge}, \"injected\": {}, \"retries\": {}, \"hedges\": {}, \
-             \"hedge_wins\": {}, \"digest_matches_clean\": true}}{comma}\n",
-            report.faults.total_injected(),
-            report.faults.retries,
-            report.faults.hedges,
-            report.faults.hedge_wins,
-        ));
-    }
-    chaos.set_hedging(None);
-    out.push_str("  ]}\n}\n");
     out
 }
 

@@ -219,11 +219,6 @@ pub struct FaultStats {
     pub panics_caught: u64,
     /// Shard calls that exhausted their retry budget.
     pub exhausted: u64,
-    /// Hedged (re-issued) shard calls: the primary exceeded the virtual
-    /// straggler threshold, so a backup attempt was raced against it.
-    pub hedges: u64,
-    /// Hedges whose backup attempt finished first (in virtual time).
-    pub hedge_wins: u64,
     /// Scatter shard calls shed at a deadline in `Partial` mode (counted
     /// as unanswered coverage instead of failing the whole query).
     pub shed: u64,
@@ -247,8 +242,6 @@ impl FaultStats {
             retries: self.retries + other.retries,
             panics_caught: self.panics_caught + other.panics_caught,
             exhausted: self.exhausted + other.exhausted,
-            hedges: self.hedges + other.hedges,
-            hedge_wins: self.hedge_wins + other.hedge_wins,
             shed: self.shed + other.shed,
             failovers: self.failovers + other.failovers,
             replica_reads: self.replica_reads + other.replica_reads,
@@ -264,8 +257,6 @@ impl FaultStats {
             retries: self.retries.saturating_sub(earlier.retries),
             panics_caught: self.panics_caught.saturating_sub(earlier.panics_caught),
             exhausted: self.exhausted.saturating_sub(earlier.exhausted),
-            hedges: self.hedges.saturating_sub(earlier.hedges),
-            hedge_wins: self.hedge_wins.saturating_sub(earlier.hedge_wins),
             shed: self.shed.saturating_sub(earlier.shed),
             failovers: self.failovers.saturating_sub(earlier.failovers),
             replica_reads: self.replica_reads.saturating_sub(earlier.replica_reads),
@@ -288,14 +279,12 @@ impl fmt::Display for FaultStats {
         write!(
             f,
             "injected {} errors + {} panics, {} retries, {} panics caught, {} exhausted, \
-             {} hedges ({} won), {} shed, {} failovers, {} replica reads",
+             {} shed, {} failovers, {} replica reads",
             self.injected_errors,
             self.injected_panics,
             self.retries,
             self.panics_caught,
             self.exhausted,
-            self.hedges,
-            self.hedge_wins,
             self.shed,
             self.failovers,
             self.replica_reads
@@ -313,8 +302,6 @@ pub struct FaultCounters {
     retries: AtomicU64,
     panics_caught: AtomicU64,
     exhausted: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
     shed: AtomicU64,
     failovers: AtomicU64,
     replica_reads: AtomicU64,
@@ -346,16 +333,6 @@ impl FaultCounters {
         self.exhausted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a hedged (re-issued) shard call.
-    pub fn note_hedge(&self) {
-        self.hedges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a hedge whose backup attempt won the virtual-time race.
-    pub fn note_hedge_win(&self) {
-        self.hedge_wins.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a scatter shard call shed at a deadline in `Partial` mode.
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
@@ -379,8 +356,6 @@ impl FaultCounters {
             retries: self.retries.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             replica_reads: self.replica_reads.load(Ordering::Relaxed),
@@ -1258,8 +1233,6 @@ mod tests {
             retries: 5,
             panics_caught: 1,
             exhausted: 0,
-            hedges: 4,
-            hedge_wins: 2,
             shed: 1,
             failovers: 3,
             replica_reads: 6,
@@ -1270,18 +1243,14 @@ mod tests {
             retries: 2,
             panics_caught: 0,
             exhausted: 0,
-            hedges: 1,
-            hedge_wins: 1,
             shed: 0,
             failovers: 1,
             replica_reads: 2,
         };
         assert_eq!(a.plus(&b).injected_errors, 4);
-        assert_eq!(a.plus(&b).hedges, 5);
         assert_eq!(a.plus(&b).failovers, 4);
         assert_eq!(a.plus(&b).replica_reads, 8);
         assert_eq!(a.since(&b).retries, 3);
-        assert_eq!(a.since(&b).hedge_wins, 1);
         assert_eq!(a.since(&b).shed, 1);
         assert_eq!(a.since(&b).failovers, 2);
         assert_eq!(a.since(&b).replica_reads, 4);
@@ -1289,7 +1258,6 @@ mod tests {
         assert!(!a.is_zero());
         assert!(FaultStats::default().is_zero());
         assert!(a.to_string().contains("3 errors"));
-        assert!(a.to_string().contains("4 hedges (2 won)"));
         assert!(a.to_string().contains("1 shed"));
         assert!(a.to_string().contains("3 failovers"));
         assert!(a.to_string().contains("6 replica reads"));

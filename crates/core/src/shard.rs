@@ -34,15 +34,12 @@
 //! **max** virtual latency across concurrent shard calls (plus merge
 //! cost) instead of the sum.
 //!
-//! Tail latency (DESIGN.md §4f) is engineered with two answer-neutral
-//! levers: **deterministic hedged requests** ([`hedged_call`] — a scatter
-//! shard call whose virtual spend exceeds the armed threshold races a
-//! re-issued copy, and the winner's *time* is charged while the primary's
-//! *bytes* stand) and **per-shard top-n pushdown** ([`pushdown_top_n`] — a
-//! threshold-algorithm merge over bounded `*_topn_kernel` partials, the
-//! only merge for Q3/Q4/Q5). Hedging is togglable at runtime and never
-//! moves a digest; the TA merge's answers are checked against the
-//! monolithic engines.
+//! Tail latency (DESIGN.md §4f) is bounded by per-class virtual deadlines
+//! with Partial-mode shedding, and Q3/Q4/Q5 fan-outs ship bounded
+//! `*_topn_kernel` partials through **per-shard top-n pushdown**
+//! ([`pushdown_top_n`] — a threshold-algorithm merge, the only merge for
+//! those queries) whose answers are checked against the monolithic
+//! engines.
 //!
 //! Replication (DESIGN.md §4i): every shard slot holds a [`ReplicaGroup`]
 //! — R engines ingested from the **same** partition dataset
@@ -61,7 +58,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel;
@@ -289,8 +286,11 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// How [`ShardedEngine`] executes scatter fan-outs.
 ///
 /// Both modes gather partials in shard order and merge on the caller
-/// thread, so they produce byte-identical answers; `Sequential` is kept as
-/// the oracle the equivalence tests compare against.
+/// thread, so they produce byte-identical answers **while no deadline
+/// binds**; `Sequential` is kept as the oracle the equivalence tests
+/// compare against. They charge virtual time differently (the sum of leg
+/// spends vs the max), so under a deadline between one leg's cost and the
+/// sum, `Parallel` answers where `Sequential` returns `Timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScatterMode {
     /// Visit selected shards one at a time on the caller thread. Virtual
@@ -391,26 +391,17 @@ impl Drop for WorkerPool {
 /// [`CoreError::Unavailable`]; retryable errors retry up to `max_attempts`
 /// with exponential backoff charged to the ambient budget; semantic errors
 /// and timeouts propagate immediately. Free-standing so both the caller
-/// thread (sequential scatter, point calls) and pool workers (parallel
-/// scatter) run the identical loop.
+/// thread (sequential scatter, point calls, writes) and pool workers
+/// (parallel scatter) run the identical loop.
+///
+/// `base_attempt` offsets the ambient attempt index the fault schedule
+/// sees; the local loop still counts `0..max_attempts` for backoff and
+/// give-up purposes. Writes run on band 0; replica failover hops run on
+/// band `hop * FAILOVER_ATTEMPT_BASE` ([`replica_call`]).
 ///
 /// The fault-injection layer gates *before* touching the inner engine, so
 /// retrying a write through here never double-applies it.
 fn retry_call<T>(
-    shard: usize,
-    engine: &dyn MicroblogEngine,
-    policy: &RetryPolicy,
-    counters: &FaultCounters,
-    op: impl FnMut(&dyn MicroblogEngine) -> Result<T>,
-) -> Result<T> {
-    retry_call_from(shard, engine, policy, counters, 0, op)
-}
-
-/// [`retry_call`] with the ambient attempt index offset by `base_attempt`.
-/// The local loop still counts `0..max_attempts` for backoff and give-up
-/// purposes; only what the fault schedule *sees* is shifted — the hook
-/// hedged requests use to look like a fresh request rather than a replay.
-fn retry_call_from<T>(
     shard: usize,
     engine: &dyn MicroblogEngine,
     policy: &RetryPolicy,
@@ -451,108 +442,15 @@ fn retry_call_from<T>(
     }
 }
 
-/// Attempt-index offset for hedge ladders: past any plausible retry count,
-/// so `FaultPlan::decide` treats the hedge as a *fresh* request — transient
-/// bursts (which fail the first `transient_burst` attempts) look healthy,
-/// modelling a re-issue that lands on a replica that is not mid-hiccup.
-/// Permanent faults ignore the attempt index, so a hedge never masks them.
-const HEDGE_ATTEMPT_BASE: u32 = 32;
-
-/// One scatter shard call with **deterministic hedging** (DESIGN.md §4f).
-///
-/// The primary retry ladder runs first, metered against (a snapshot of)
-/// the ambient virtual budget. If its spend stays within `threshold_us`,
-/// the meter is simply replayed onto the ambient budget — bit-identical to
-/// an unhedged call. Otherwise the call is a *virtual straggler*: a hedge
-/// ladder is raced, starting `threshold_us` later on the virtual clock
-/// (so its budget is the remainder) and with attempt indices offset by
-/// [`HEDGE_ATTEMPT_BASE`]. The race is decided purely in virtual time.
-///
-/// Outcome selection is byte-stable: the primary's bytes stand unless the
-/// hedge **alone** succeeded (the availability rescue). Both ladders run
-/// the same pure per-shard computation, so when both succeed the hedge can
-/// only win *time*, never change bytes; when both fail the primary's error
-/// text is reported so hedging never perturbs error digests. The ambient
-/// budget is charged the winner's completion time — min(primary,
-/// threshold + hedge) — which is how hedging compresses the virtual tail.
-///
-/// With hedging disarmed (`threshold_us == 0`) or no ambient budget
-/// installed (no virtual clock to race against), this is exactly
-/// [`retry_call`]. Never used for writes: a hedge re-executes the call.
-///
-/// `base_attempt` shifts both ladders' ambient attempt indices — the hook
-/// replica failover uses ([`replica_call`], band
-/// [`FAILOVER_ATTEMPT_BASE`]) so each failover hop looks like a fresh
-/// request to the fault schedule while the hedge ladder stays offset by
-/// [`HEDGE_ATTEMPT_BASE`] *within* the hop's band.
-fn hedged_call<T>(
-    shard: usize,
-    engine: &dyn MicroblogEngine,
-    policy: &RetryPolicy,
-    counters: &FaultCounters,
-    threshold_us: u64,
-    base_attempt: u32,
-    op: impl Fn(&dyn MicroblogEngine) -> Result<T>,
-) -> Result<T> {
-    let snapshot = fault::remaining_budget_us();
-    if threshold_us == 0 || snapshot.is_none() {
-        return retry_call_from(shard, engine, policy, counters, base_attempt, &op);
-    }
-    // Primary ladder under a detached meter holding the same remaining
-    // budget, so a genuine overrun still surfaces as a Timeout inside.
-    let (primary, p_spend) = fault::with_worker_budget(snapshot, || {
-        retry_call_from(shard, engine, policy, counters, base_attempt, &op)
-    });
-    if p_spend.spent_us <= threshold_us {
-        fault::absorb_worker_spend(&p_spend);
-        fault::charge(p_spend.spent_us)?;
-        return primary;
-    }
-    counters.note_hedge();
-    let hedge_budget = snapshot.map(|s| s.saturating_sub(threshold_us));
-    let (hedge, h_spend) = fault::with_worker_budget(hedge_budget, || {
-        retry_call_from(shard, engine, policy, counters, base_attempt + HEDGE_ATTEMPT_BASE, &op)
-    });
-    let p_total = p_spend.spent_us;
-    let h_total = threshold_us.saturating_add(h_spend.spent_us);
-    // Same outcome kind on both ladders ⇒ the hedge can only shave time
-    // (the primary's bytes are what we report either way).
-    let hedge_first = h_total < p_total;
-    let (winner, spend, total_us) = match (primary, hedge) {
-        (Ok(p), Err(_)) => (Ok(p), p_spend, p_total),
-        (Ok(p), Ok(_)) => {
-            if hedge_first {
-                counters.note_hedge_win();
-            }
-            (Ok(p), p_spend, if hedge_first { h_total } else { p_total })
-        }
-        (Err(pe), Err(_)) => {
-            if hedge_first {
-                counters.note_hedge_win();
-            }
-            (Err(pe), p_spend, if hedge_first { h_total } else { p_total })
-        }
-        (Err(_), Ok(h)) => {
-            // The rescue: only the hedge succeeded.
-            counters.note_hedge_win();
-            (Ok(h), h_spend, h_total)
-        }
-    };
-    fault::absorb_worker_spend(&spend);
-    fault::charge(total_us)?;
-    winner
-}
-
 // ---- replication (DESIGN.md §4i) ------------------------------------------
 
 /// Attempt-index offset between replica failover hops. Each hop `h` of the
-/// failover ladder runs its retry (and nested hedge) ladders on band
-/// `h * FAILOVER_ATTEMPT_BASE`, so the fault schedule treats every hop as
-/// a fresh request on a different machine: a transient burst on one
-/// replica never implies a burst on the next, while permanent faults
-/// (which ignore the attempt index) are never masked by hopping. The band
-/// is far above [`HEDGE_ATTEMPT_BASE`] plus any plausible retry count, so
-/// retry, hedge and failover offsets can never collide.
+/// failover ladder runs its retry ladder on band `h * FAILOVER_ATTEMPT_BASE`,
+/// so the fault schedule treats every hop as a fresh request on a different
+/// machine: a transient burst on one replica never implies a burst on the
+/// next, while permanent faults (which ignore the attempt index) are never
+/// masked by hopping. The band is far above any plausible retry count, so
+/// retry and failover attempt indices can never collide.
 const FAILOVER_ATTEMPT_BASE: u32 = 256;
 
 /// The replicas of one shard slot: R engines ingested from the **same**
@@ -610,7 +508,7 @@ pub fn replica_of(route: u64, shard: usize, replicas: usize) -> usize {
 }
 
 /// One read shard call with **deterministic replica failover**: try the
-/// primary replica first (its retry + hedge ladders on attempt band 0),
+/// primary replica first (its retry ladder on attempt band 0),
 /// then walk the group in ring order — hop `h` tries replica
 /// `(primary + h) % R` on attempt band `h * FAILOVER_ATTEMPT_BASE` — until
 /// a replica answers. Torn replicas are skipped as synthetic
@@ -618,15 +516,14 @@ pub fn replica_of(route: u64, shard: usize, replicas: usize) -> usize {
 /// (`Unavailable`: dead or exhausted replicas) fail over; semantic errors
 /// and `Timeout` (the budget is spent — another replica cannot mint more)
 /// propagate immediately. When every replica fails, the **primary's**
-/// error text is reported, mirroring the hedging convention, so R never
-/// perturbs error digests. At R = 1 this is exactly [`hedged_call`].
+/// error text is reported, so R never perturbs error digests. At R = 1
+/// this is exactly [`retry_call`] on band 0.
 fn replica_call<T>(
     shard: usize,
     group: &ReplicaGroup,
     primary: usize,
     policy: &RetryPolicy,
     counters: &FaultCounters,
-    threshold_us: u64,
     op: impl Fn(&dyn MicroblogEngine) -> Result<T>,
 ) -> Result<T> {
     let r = group.len();
@@ -641,12 +538,11 @@ fn replica_call<T>(
                 "shard {shard} replica {replica} torn (missed a group write)"
             )))
         } else {
-            hedged_call(
+            retry_call(
                 shard,
                 group.engine(replica),
                 policy,
                 counters,
-                threshold_us,
                 hop * FAILOVER_ATTEMPT_BASE,
                 &op,
             )
@@ -690,9 +586,6 @@ pub struct ShardedEngine {
     policy: RetryPolicy,
     mode: DegradationMode,
     scatter_mode: AtomicU8,
-    /// Virtual-µs straggler threshold arming [`hedged_call`] for scatter
-    /// shard calls; 0 = hedging off (the default).
-    hedge_threshold_us: AtomicU64,
     counters: Arc<FaultCounters>,
     pool: WorkerPool,
 }
@@ -749,7 +642,6 @@ impl ShardedEngine {
             policy: RetryPolicy::default(),
             mode: DegradationMode::Strict,
             scatter_mode: AtomicU8::new(ScatterMode::default().to_u8()),
-            hedge_threshold_us: AtomicU64::new(0),
             counters: Arc::new(FaultCounters::default()),
             pool,
         }
@@ -771,25 +663,6 @@ impl ShardedEngine {
     pub fn with_scatter_mode(self, mode: ScatterMode) -> Self {
         self.scatter_mode.store(mode.to_u8(), Ordering::Relaxed);
         self
-    }
-
-    /// Builder: arms deterministic hedged requests for scatter shard calls
-    /// — a call whose virtual spend exceeds `threshold_us` races a
-    /// re-issued copy and the winner's time is charged (DESIGN.md §4f).
-    /// `0` disarms. Inert unless a virtual deadline budget is installed.
-    pub fn with_hedging(self, threshold_us: u64) -> Self {
-        self.hedge_threshold_us.store(threshold_us, Ordering::Relaxed);
-        self
-    }
-
-    /// The armed hedge threshold in virtual µs (0 = hedging off).
-    pub fn hedge_threshold(&self) -> u64 {
-        self.hedge_threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Re-arms (`Some`) or disarms (`None`) scatter hedging at runtime.
-    pub fn set_hedging(&self, threshold_us: Option<u64>) {
-        self.hedge_threshold_us.store(threshold_us.unwrap_or(0), Ordering::Relaxed);
     }
 
     /// The active retry policy.
@@ -857,8 +730,7 @@ impl ShardedEngine {
     }
 
     /// One read shard call on the caller thread: deterministic primary,
-    /// failover along the replica ring, no hedging (point reads are cheap
-    /// enough that a replica hop *is* the hedge).
+    /// then failover along the replica ring.
     fn read_at<T>(
         &self,
         shard: usize,
@@ -866,7 +738,7 @@ impl ShardedEngine {
         op: impl Fn(&dyn MicroblogEngine) -> Result<T>,
     ) -> Result<T> {
         let primary = self.read_primary(shard, route);
-        replica_call(shard, &self.shards[shard], primary, &self.policy, &self.counters, 0, op)
+        replica_call(shard, &self.shards[shard], primary, &self.policy, &self.counters, op)
     }
 
     /// Point lookup on the owner shard — never degrades: a single owner
@@ -877,7 +749,7 @@ impl ShardedEngine {
     }
 
     /// One write applied to **every live replica** of `shard` (DESIGN.md
-    /// §4i). Writes never degrade and never hedge or fail over — each
+    /// §4i). Writes never degrade and never fail over — each
     /// replica must apply the write itself. A replica that still fails
     /// after retries while a groupmate succeeded has *missed* the write:
     /// it is marked torn and excluded from all future reads and writes —
@@ -897,7 +769,7 @@ impl ShardedEngine {
                 continue;
             }
             live += 1;
-            match retry_call(shard, group.engine(r), &self.policy, &self.counters, |e| op(e)) {
+            match retry_call(shard, group.engine(r), &self.policy, &self.counters, 0, |e| op(e)) {
                 Ok(()) => applied = true,
                 Err(e) => {
                     if first_err.is_none() {
@@ -999,13 +871,12 @@ impl ShardedEngine {
     /// queueing. In Strict mode a `Timeout` still propagates.
     ///
     /// Execution follows the engine's [`ScatterMode`]; single-shard
-    /// selections always run inline (nothing to overlap) and two-shard
-    /// fan-outs run inline on the caller thread with pooled-path
-    /// accounting ([`Self::scatter_inline`] — the handoff costs more than
-    /// the overlap buys at that width). Because per-shard fault decisions
-    /// are pure functions of `(plan, shard, method, args, attempt)` and
-    /// the gather order is fixed, all paths produce the same partials, the
-    /// same coverage tape and the same first error.
+    /// selections always run on the caller thread (nothing to overlap).
+    /// Because per-shard fault decisions are pure functions of
+    /// `(plan, shard, method, args, attempt)` and the gather order is
+    /// fixed, both paths produce the same partials, the same coverage tape
+    /// and the same first error as long as no deadline binds (they charge
+    /// virtual time differently: the sum of leg spends vs the max).
     fn scatter<T: Send + 'static>(
         &self,
         route: u64,
@@ -1021,11 +892,8 @@ impl ShardedEngine {
         let primaries: Vec<usize> =
             selected.iter().map(|&i| self.read_primary(i, route)).collect();
         match self.load_scatter_mode() {
-            ScatterMode::Parallel if selected.len() > 2 => {
-                self.scatter_parallel(selected, primaries, op)
-            }
             ScatterMode::Parallel if selected.len() > 1 => {
-                self.scatter_inline(&selected, &primaries, op)
+                self.scatter_parallel(selected, primaries, op)
             }
             _ => self.scatter_sequential(&selected, &primaries, op),
         }
@@ -1034,8 +902,8 @@ impl ShardedEngine {
     /// Shard-order replay of one gathered leg: success collects the
     /// partial; Partial mode absorbs `Unavailable` shards and sheds
     /// `Timeout` legs (recording both as lost coverage); everything else
-    /// propagates. Shared by all three scatter paths so their answer
-    /// semantics cannot drift.
+    /// propagates. Shared by both scatter paths so their answer semantics
+    /// cannot drift.
     fn gather_leg<T>(&self, result: Result<T>, parts: &mut Vec<T>) -> Result<()> {
         match result {
             Ok(v) => {
@@ -1065,57 +933,12 @@ impl ShardedEngine {
         primaries: &[usize],
         op: impl Fn(usize, &dyn MicroblogEngine) -> Result<T>,
     ) -> Result<Vec<T>> {
-        let threshold = self.hedge_threshold();
         let mut parts = Vec::with_capacity(selected.len());
         for (slot, &i) in selected.iter().enumerate() {
-            let result = replica_call(
-                i,
-                &self.shards[i],
-                primaries[slot],
-                &self.policy,
-                &self.counters,
-                threshold,
-                |e| op(i, e),
-            );
-            self.gather_leg(result, &mut parts)?;
-        }
-        Ok(parts)
-    }
-
-    /// The small-fan-out fast path: both legs run on the caller thread,
-    /// but under the **pooled path's accounting** — per-leg budget
-    /// snapshot, max-spend charge, in-shard-order absorb — so switching
-    /// between this and [`Self::scatter_parallel`] never moves a digest or
-    /// a virtual-time measurement. What it removes is the real-world cost:
-    /// no task boxing, no channel handoff, no worker wakeup — which at
-    /// fan-out 2 used to make Parallel *slower* than Sequential.
-    fn scatter_inline<T>(
-        &self,
-        selected: &[usize],
-        primaries: &[usize],
-        op: impl Fn(usize, &dyn MicroblogEngine) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let snapshot = fault::remaining_budget_us();
-        let threshold = self.hedge_threshold();
-        let mut slots = Vec::with_capacity(selected.len());
-        for (slot, &i) in selected.iter().enumerate() {
-            slots.push(fault::with_worker_budget(snapshot, || {
-                replica_call(
-                    i,
-                    &self.shards[i],
-                    primaries[slot],
-                    &self.policy,
-                    &self.counters,
-                    threshold,
-                    |e| op(i, e),
-                )
-            }));
-        }
-        let max_spent = slots.iter().map(|(_, spend)| spend.spent_us).max().unwrap_or(0);
-        fault::charge(max_spent)?;
-        let mut parts = Vec::with_capacity(selected.len());
-        for (result, spend) in slots {
-            fault::absorb_worker_spend(&spend);
+            let result =
+                replica_call(i, &self.shards[i], primaries[slot], &self.policy, &self.counters, |e| {
+                    op(i, e)
+                });
             self.gather_leg(result, &mut parts)?;
         }
         Ok(parts)
@@ -1132,6 +955,11 @@ impl ShardedEngine {
     /// slot is the only race — every decision that shapes the answer
     /// (fault schedule, retry counts, budget snapshot, merge order,
     /// first-error choice) is interleaving-independent.
+    ///
+    /// Fan-outs of two legs or fewer submit nothing, so the steal pass
+    /// runs every leg on the caller thread under the same accounting: at
+    /// that width the task boxing, channel handoff and worker wakeup cost
+    /// more than the overlap buys.
     fn scatter_parallel<T: Send + 'static>(
         &self,
         selected: Vec<usize>,
@@ -1144,17 +972,17 @@ impl ShardedEngine {
             let op = Arc::new(op);
             let policy = self.policy;
             let counters = Arc::clone(&self.counters);
-            let threshold = self.hedge_threshold();
             Arc::new(move |i: usize, primary: usize, group: &ReplicaGroup| {
                 fault::with_worker_budget(snapshot, || {
-                    replica_call(i, group, primary, &policy, &counters, threshold, |e| op(i, e))
+                    replica_call(i, group, primary, &policy, &counters, |e| op(i, e))
                 })
             })
         };
         let claims: Arc<Vec<AtomicBool>> =
             Arc::new(selected.iter().map(|_| AtomicBool::new(false)).collect());
         let (tx, rx) = channel::unbounded::<(usize, Result<T>, fault::WorkerSpend)>();
-        for (slot, &i) in selected.iter().enumerate() {
+        let pooled = if selected.len() > 2 { selected.len() } else { 0 };
+        for (slot, &i) in selected.iter().enumerate().take(pooled) {
             let exec = Arc::clone(&exec);
             let claims = Arc::clone(&claims);
             let group = Arc::clone(&self.shards[i]);

@@ -1,17 +1,19 @@
-//! Parallel scatter-gather determinism: `ScatterMode::Parallel` (the
-//! default) must be byte-identical to the `Sequential` oracle — same
-//! rendered answers, same digests, same coverage tags — on clean engines,
-//! under transient chaos, and in Partial degradation mode, at any reader
-//! thread count. The merge gathers partials in shard order and charges the
-//! *max* per-shard virtual latency, so worker interleaving can never leak
-//! into an answer.
+//! Parallel scatter-gather determinism: while no deadline binds,
+//! `ScatterMode::Parallel` (the default) must be byte-identical to the
+//! `Sequential` oracle — same rendered answers, same digests, same
+//! coverage tags — on clean engines, under transient chaos, and in
+//! Partial degradation mode, at any reader thread count. The merge gathers
+//! partials in shard order, so worker interleaving can never leak into an
+//! answer. The two modes charge virtual time differently (Parallel the
+//! *max* per-shard spend, Sequential the sum), so a deadline between one
+//! leg's cost and the sum separates them; that difference is pinned too.
 
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::fault::silence_injected_panics;
 use micrograph_core::ingest::{build_chaos_sharded_engines, build_sharded_engines};
 use micrograph_core::serve::{serve, ServeConfig, ServeReport};
 use micrograph_core::workload::{run_query, QueryId, QueryParams};
-use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy, ScatterMode};
+use micrograph_core::{CoreError, DegradationMode, FaultPlan, RetryPolicy, ScatterMode};
 use micrograph_datagen::{generate, Dataset, GenConfig};
 use proptest::prelude::*;
 
@@ -213,6 +215,43 @@ fn chaos_parallel_surfaces_hostile_errors_identically() {
     for threads in [1usize, 4] {
         let par = serve(&chaos, &config(threads, 128)).unwrap();
         assert_eq!(answers(&par), answers(&seq), "x{threads}: hostile errors diverged");
+    }
+}
+
+#[test]
+fn a_deadline_between_one_leg_and_the_sum_separates_the_modes() {
+    // A fault-free plan that charges 10 virtual µs per shard call, under a
+    // 25 µs query deadline: a 4-shard broadcast costs 10 µs in Parallel
+    // mode (the max leg) but 40 µs in Sequential mode (the sum). Parallel
+    // answers like the monolith; Sequential returns a typed Timeout.
+    let (ds, g) = dataset(76, "deadline");
+    let files = ds.write_csv(&g.0.join("mono")).unwrap();
+    let (arbor, _, _) = micrograph_core::ingest::build_engines(&files).unwrap();
+    let plan = FaultPlan { call_latency_us: 10, ..FaultPlan::new(1) };
+    let policy = RetryPolicy { deadline_us: Some(25), ..RetryPolicy::default() };
+    let (sa, sb) = build_chaos_sharded_engines(
+        &ds,
+        &g.0.join("chaos"),
+        4,
+        plan,
+        policy,
+        DegradationMode::Strict,
+    )
+    .unwrap();
+    let threshold = 2;
+    let expected = arbor.users_with_followers_over(threshold).unwrap();
+    assert!(!expected.is_empty(), "vacuous: Q1.1 selected nobody");
+    for engine in [&sa as &dyn MicroblogEngine, &sb] {
+        assert!(engine.set_scatter_mode(ScatterMode::Parallel));
+        let par = engine.users_with_followers_over(threshold);
+        assert_eq!(par.unwrap(), expected, "{}: Parallel must answer", engine.name());
+        assert!(engine.set_scatter_mode(ScatterMode::Sequential));
+        let seq = engine.users_with_followers_over(threshold);
+        assert!(
+            matches!(seq, Err(CoreError::Timeout(_))),
+            "{}: Sequential must time out, got {seq:?}",
+            engine.name()
+        );
     }
 }
 

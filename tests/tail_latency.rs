@@ -1,10 +1,9 @@
 //! Tail-latency engineering invariants (DESIGN.md §4f): the per-shard
-//! top-n pushdown merge and deterministic hedged requests are pure
-//! performance features — neither may move a single byte of any answer.
-//! Pushdown-merge ≡ monolith is pinned across the 8-engine matrix,
-//! hedge-on ≡ hedge-off across clean and transient-chaos runs, and
-//! per-class deadlines shed scatter stragglers deterministically in
-//! Partial mode.
+//! top-n pushdown merge is a pure performance feature — it may not move a
+//! single byte of any answer. Pushdown-merge ≡ monolith is pinned across
+//! the 8-engine matrix, transient chaos under a deadline keeps the clean
+//! digest, and per-class deadlines shed scatter stragglers
+//! deterministically in Partial mode.
 
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::fault::silence_injected_panics;
@@ -41,7 +40,7 @@ fn config(threads: usize, requests: usize) -> ServeConfig {
     ServeConfig { threads, requests, seed: 7, users: USERS, vocab: 16, ..Default::default() }
 }
 
-/// Everything a hedge flip must keep identical on a clean engine.
+/// Everything a thread-count change must keep identical on one engine.
 fn fingerprint(r: &ServeReport) -> (Vec<String>, u64, u64, String) {
     (r.rendered.clone(), r.errors, r.degraded, r.faults.to_string())
 }
@@ -80,33 +79,13 @@ fn pushdown_merge_matches_the_monolith_across_the_matrix() {
 }
 
 #[test]
-fn hedging_is_inert_on_clean_engines() {
-    // On clean engines nothing ever crosses the straggler threshold, so
-    // arming hedging (under a deadline, which installs the virtual budget
-    // hedging keys off) changes nothing — not even the fault counters.
-    let (ds, g) = dataset(93, "clean-hedge");
-    let (sharded, _) = build_sharded_engines(&ds, &g.0.join("s"), 4).unwrap();
-    let mut cfg = config(2, 128);
-    cfg.deadline_us = Some(10_000_000);
-    sharded.set_hedging(None);
-    let off = serve(&sharded, &cfg).unwrap();
-    sharded.set_hedging(Some(25));
-    let on = serve(&sharded, &cfg).unwrap();
-    sharded.set_hedging(None);
-    assert_eq!(fingerprint(&on), fingerprint(&off), "hedge flip moved the fingerprint");
-    assert_eq!(on.digest(), off.digest());
-    assert_eq!(on.faults.hedges, 0, "clean legs must never trip the threshold");
-}
-
-#[test]
-fn transient_chaos_hedging_preserves_the_clean_digest() {
-    // The tentpole invariant: under a transient plan with a generous
-    // deadline, hedged scatter legs fire (faulted primaries exceed the
-    // threshold), hedge attempts run on their own attempt band, and the
-    // answers stay byte-identical to both the unhedged chaos run and the
-    // fault-free run.
+fn transient_chaos_under_a_deadline_preserves_the_clean_digest() {
+    // Under a transient plan with a generous deadline, every faulted
+    // scatter leg is masked by its retry ladder inside the budget, so the
+    // answers and the digest stay byte-identical to the fault-free run at
+    // any reader thread count — with nothing degraded and nothing failed.
     silence_injected_panics();
-    let (ds, g) = dataset(94, "chaos-hedge");
+    let (ds, g) = dataset(94, "chaos-deadline");
     let (clean, _) = build_sharded_engines(&ds, &g.0.join("clean"), 4).unwrap();
     let (chaos, _) = build_chaos_sharded_engines(
         &ds,
@@ -122,29 +101,15 @@ fn transient_chaos_hedging_preserves_the_clean_digest() {
     let base = serve(&clean, &cfg).unwrap();
     assert!(base.faults.is_zero());
 
-    chaos.set_hedging(None);
-    let unhedged = serve(&chaos, &cfg).unwrap();
-    assert_eq!(unhedged.rendered, base.rendered, "chaos leaked into answers");
-    assert!(unhedged.faults.total_injected() > 0, "vacuous: plan injected nothing");
-    assert_eq!(unhedged.faults.hedges, 0);
-
-    // A threshold above a healthy call (10 virtual us) but below a faulted
-    // retry ladder (fault latency 50 + backoff): only stragglers hedge.
     for threads in [1usize, 4] {
-        let mut hcfg = cfg;
-        hcfg.threads = threads;
-        chaos.set_hedging(Some(25));
-        let hedged = serve(&chaos, &hcfg).unwrap();
-        chaos.set_hedging(None);
-        assert_eq!(hedged.rendered, base.rendered, "x{threads}: hedging moved an answer");
-        assert_eq!(hedged.digest(), base.digest(), "x{threads}: digest diverged");
-        assert_eq!(hedged.errors, 0);
-        assert_eq!(hedged.degraded, 0);
-        assert!(hedged.faults.hedges > 0, "x{threads}: no straggler ever hedged");
-        assert!(
-            hedged.faults.hedge_wins > 0,
-            "x{threads}: healthy hedge attempts should beat faulted retry ladders"
-        );
+        let mut tcfg = cfg;
+        tcfg.threads = threads;
+        let run = serve(&chaos, &tcfg).unwrap();
+        assert_eq!(run.rendered, base.rendered, "x{threads}: chaos leaked into answers");
+        assert_eq!(run.digest(), base.digest(), "x{threads}: digest diverged");
+        assert_eq!(run.errors, 0);
+        assert_eq!(run.degraded, 0);
+        assert!(run.faults.total_injected() > 0, "x{threads}: vacuous: plan injected nothing");
     }
 }
 
