@@ -495,8 +495,9 @@ pub fn update_throughput(f: &Fixture) -> String {
 pub struct MixedRow {
     /// Engine name.
     pub engine: &'static str,
-    /// Write-path label: bitgraph's write mode (`snapshot` / `locked`), or
-    /// `latched` for arbordb (readers queue behind the transaction latch).
+    /// Write-path label: `snapshot` for bitgraph (readers run on published
+    /// generations), `latched` for arbordb (readers queue behind the
+    /// transaction latch).
     pub mode: &'static str,
     /// Events per write batch.
     pub batch: usize,
@@ -518,19 +519,16 @@ pub struct MixedRow {
 }
 
 /// Measures the mixed read/write axis: arbordb on disk (real WAL) at batch
-/// sizes 1 (per-event loop) / 64 / 256, then bitgraph at the same ladder in
-/// `Snapshot` write mode plus the `Locked` oracle at batch 64 — the
-/// reader-tail comparison non-blocking snapshot reads exist for. Every run
-/// rebuilds its engine from the fixture's CSV bundle, applies the same
-/// event stream, and must land on the same quiesced serving digest: batch
-/// size, batching, and write mode are pure performance toggles (asserted
-/// here; `tests/mixed_serving.rs` pins the same property across the full
-/// engine matrix).
+/// sizes 1 (per-event loop) / 64 / 256, then bitgraph at the same ladder.
+/// Every run rebuilds its engine from the fixture's CSV bundle, applies the
+/// same event stream, and must land on the same quiesced serving digest:
+/// batch size and batching are pure performance toggles (asserted here;
+/// `tests/mixed_serving.rs` pins the same property across the full engine
+/// matrix).
 pub fn mixed_axis(f: &Fixture) -> Vec<MixedRow> {
     use micrograph_core::adapters::BitEngine;
     use micrograph_core::ingest::ingest_arbor;
     use micrograph_core::serve::{serve_mixed, MixedConfig};
-    use micrograph_core::WriteMode;
     use micrograph_datagen::{StreamGen, StreamMix};
 
     const EVENTS: usize = 1_000;
@@ -590,14 +588,8 @@ pub fn mixed_axis(f: &Fixture) -> Vec<MixedRow> {
         let arbor = ArborEngine::new(db);
         run(&arbor, "latched", *batch, *batched);
     }
-    // bitgraph: the same ladder with snapshot reads, plus the locked
-    // oracle at batch 64 for the reader-p99 contrast.
-    for (batch, batched, mode) in [
-        (1usize, false, WriteMode::Snapshot),
-        (64, true, WriteMode::Snapshot),
-        (256, true, WriteMode::Snapshot),
-        (64, true, WriteMode::Locked),
-    ] {
+    // bitgraph: the same ladder, reads on published snapshots.
+    for (batch, batched) in [(1usize, false), (64, true), (256, true)] {
         let (g, _) = ingest_bit(
             &f.files,
             None,
@@ -606,8 +598,7 @@ pub fn mixed_axis(f: &Fixture) -> Vec<MixedRow> {
         )
         .expect("load");
         let bit = BitEngine::new(g).expect("engine");
-        assert!(bit.set_write_mode(mode), "bitgraph lost its write-mode toggle");
-        run(&bit, mode.as_str(), batch, batched);
+        run(&bit, "snapshot", batch, batched);
     }
     rows
 }
@@ -718,7 +709,7 @@ pub fn serving(f: &Fixture) -> String {
     // Mixed read/write axis (DESIGN.md §4j): group-commit batching and
     // non-blocking snapshot reads under a firehose write burst. Quiesced
     // digests are asserted equal inside mixed_axis.
-    out.push_str("\n-- Mixed read/write: group commit x write mode (1 writer, 2 readers) --\n\n");
+    out.push_str("\n-- Mixed read/write: group commit (1 writer, 2 readers) --\n\n");
     let rows = mixed_axis(f);
     for r in &rows {
         out.push_str(&format!(
@@ -742,18 +733,14 @@ pub fn serving(f: &Fixture) -> String {
             .map(|r| r.write_eps)
             .unwrap_or(0.0)
     };
-    let p99 = |mode: &str, batch: usize| {
-        rows.iter()
-            .find(|r| r.engine.contains("bitgraph") && r.mode == mode && r.batch == batch)
-            .map(|r| r.read_p99_ms)
-            .unwrap_or(0.0)
-    };
+    let p99 = rows
+        .iter()
+        .find(|r| r.engine.contains("bitgraph") && r.batch == 64)
+        .map_or(0.0, |r| r.read_p99_ms);
     out.push_str(&format!(
         "\nmixed headline: arbordb group commit x256 = {:.1}x events/s over per-event; \
-         bitgraph reader p99 under burst: snapshot {:.3} ms vs locked {:.3} ms\n",
+         bitgraph reader p99 under burst: {p99:.3} ms\n",
         eps("arbordb", "latched", 256) / eps("arbordb", "latched", 1).max(f64::MIN_POSITIVE),
-        p99("snapshot", 64),
-        p99("locked", 64),
     ));
     out
 }
@@ -1204,7 +1191,7 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
     // Mixed read/write axis (DESIGN.md §4j): a write burst drained by one
     // writer (group commit vs per-event loop) while two readers serve the
     // query mix. Quiesced digests asserted equal inside mixed_axis — batch
-    // size, batching, and write mode are pure performance toggles.
+    // size and batching are pure performance toggles.
     let mixed_rows = mixed_axis(f);
     push_rows(&mut out, "mixed_rows", &mixed_rows, |r| {
         format!(
@@ -1224,7 +1211,7 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
         )
     });
     // The mixed headline: group-commit ingest scaling on arbordb's WAL and
-    // the snapshot-vs-locked reader tail on bitgraph.
+    // the reader tail under the burst on bitgraph.
     let mixed_val = |engine: &str, mode: &str, batch: usize, read: bool| {
         mixed_rows
             .iter()
@@ -1242,10 +1229,9 @@ pub fn serving_json(f: &Fixture, scale: &str) -> String {
         "  \"mixed_headline\": {{\"arbordb_perevent_eps\": {a1:.1}, \
          \"arbordb_batch256_eps\": {a256:.1}, \"arbordb_group_commit_speedup\": {:.3}, \
          \"bitgraph_perevent_eps\": {b1:.1}, \"bitgraph_batch256_eps\": {b256:.1}, \
-         \"bitgraph_snapshot_read_p99_ms\": {:.4}, \"bitgraph_locked_read_p99_ms\": {:.4}}}\n",
+         \"bitgraph_snapshot_read_p99_ms\": {:.4}}}\n",
         a256 / a1.max(f64::MIN_POSITIVE),
         mixed_val("bitgraph", "snapshot", 64, true),
-        mixed_val("bitgraph", "locked", 64, true),
     ));
     out.push_str("}\n");
     out

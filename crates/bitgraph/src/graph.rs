@@ -5,7 +5,8 @@
 //! [`EdgesDirection`] and [`Objects`] result sets. Writes go through
 //! `&mut self` (one writer); navigation is `&self`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,6 +16,7 @@ use micrograph_common::Value;
 use crate::bitmap::Bitmap;
 use crate::extent::{ExtentConfig, ExtentStore};
 use crate::objects::Objects;
+use crate::oidmap::{BitmapMap, OidMap, ValueIndex};
 use crate::{BitError, Result};
 
 /// A global object identifier (node or edge).
@@ -98,7 +100,8 @@ pub struct GraphStats {
 struct TypeMeta {
     name: String,
     is_node: bool,
-    objects: Bitmap,
+    /// Shared with published generations; a write un-shares it once.
+    objects: Arc<Bitmap>,
 }
 
 #[derive(Debug, Clone)]
@@ -106,9 +109,9 @@ struct AttrMeta {
     name: String,
     owner: u32,
     dtype: DataType,
-    values: HashMap<Oid, Value>,
+    values: OidMap<Value>,
     /// Value index (when declared indexed).
-    index: Option<BTreeMap<Value, Bitmap>>,
+    index: Option<ValueIndex>,
 }
 
 #[derive(Default)]
@@ -122,16 +125,24 @@ struct Stats {
 }
 
 /// A compressed-bitmap graph database.
+///
+/// Every per-object structure is a copy-on-write container (the `oidmap`
+/// module), so [`Graph::snapshot_clone`] shares all of it and a later
+/// write copies only the chunks it touches.
 pub struct Graph {
     config: GraphConfig,
     types: Vec<TypeMeta>,
     attrs: Vec<AttrMeta>,
-    /// (src, dst) per edge oid; nodes have the sentinel entry.
-    ends: Vec<(Oid, Oid)>,
+    /// The next oid to assign (nodes and edges share one oid space).
+    next_oid: Oid,
+    /// `(src, dst + 1)` per edge oid; nodes have no entry. The non-zero
+    /// second half gives `Option` a niche, so a slot stays 16 bytes: edge
+    /// lookups are the hottest random reads of a traversal.
+    ends: OidMap<(Oid, NonZeroU64)>,
     /// `(edge type, dir 0=out/1=in) → node → edge-oid bitmap`.
-    adjacency: HashMap<(u32, u8), HashMap<Oid, Bitmap>>,
+    adjacency: HashMap<(u32, u8), BitmapMap>,
     /// Materialized `node → neighbor-node bitmap` (same keying).
-    neighbor_index: Option<HashMap<(u32, u8), HashMap<Oid, Bitmap>>>,
+    neighbor_index: Option<HashMap<(u32, u8), BitmapMap>>,
     extents: Option<ExtentStore>,
     /// Shared with every [`Graph::snapshot_clone`], so operation counters
     /// stay coherent no matter which generation served a read.
@@ -139,8 +150,6 @@ pub struct Graph {
     /// True while a bulk replay is running (suppresses oplog re-append).
     replaying: bool,
 }
-
-const NODE_SENTINEL: (Oid, Oid) = (Oid::MAX, Oid::MAX);
 
 // Snapshot record kinds (see `Graph::write_snapshot`).
 const OP_SNAP_BEGIN: u8 = 8;
@@ -159,7 +168,8 @@ impl Graph {
             config,
             types: Vec::new(),
             attrs: Vec::new(),
-            ends: Vec::new(),
+            next_oid: 0,
+            ends: OidMap::default(),
             adjacency: HashMap::new(),
             extents: None,
             stats: Arc::default(),
@@ -167,17 +177,19 @@ impl Graph {
         }
     }
 
-    /// Deep-copies the in-memory structure into a detached read-only
-    /// generation for epoch publication (DESIGN.md §4j): the clone shares
-    /// the operation counters with the canonical graph but carries no
-    /// extent handle, so it can never log — mutations stay the canonical
-    /// copy's job. Cost is O(graph); the snapshot write path amortizes it
-    /// over a whole commit (one clone per publish, not per event).
+    /// A detached read-only generation for epoch publication (DESIGN.md
+    /// §4j). It shares every chunk of per-object data with this graph and
+    /// copies only chunk handles: O(#chunks), no per-object data. A later
+    /// write to either copy un-shares just the chunk it touches, so a
+    /// commit pays for what it changed. The clone shares the operation
+    /// counters with the canonical graph but carries no extent handle, so
+    /// it can never log — mutations stay the canonical copy's job.
     pub fn snapshot_clone(&self) -> Graph {
         Graph {
             config: self.config.clone(),
             types: self.types.clone(),
             attrs: self.attrs.clone(),
+            next_oid: self.next_oid,
             ends: self.ends.clone(),
             adjacency: self.adjacency.clone(),
             neighbor_index: self.neighbor_index.clone(),
@@ -185,6 +197,27 @@ impl Graph {
             stats: Arc::clone(&self.stats),
             replaying: false,
         }
+    }
+
+    /// Moves the navigation structures (adjacency, materialized neighbors,
+    /// edge endpoints) into fresh allocations laid out in oid order,
+    /// sharing nothing with any earlier snapshot. A bulk load grows each
+    /// bitmap in place and scatters its allocations; navigation over the
+    /// compacted copy runs as fast as it did over the deep copy each
+    /// publish used to make. O(edges): call once after a bulk load.
+    pub fn compact(&mut self) {
+        // Build every copy before dropping any original, so the copies take
+        // fresh memory instead of the holes the originals leave.
+        let bitmaps = |m: &BitmapMap| m.compacted(|b| Arc::new(Bitmap::clone(b)));
+        let ends = self.ends.compacted(|&e| e);
+        let adjacency = self.adjacency.iter().map(|(&k, m)| (k, bitmaps(m))).collect();
+        let neighbor_index = self
+            .neighbor_index
+            .as_ref()
+            .map(|index| index.iter().map(|(&k, m)| (k, bitmaps(m))).collect());
+        self.ends = ends;
+        self.adjacency = adjacency;
+        self.neighbor_index = neighbor_index;
     }
 
     /// Creates a graph persisted at `path` (truncates existing).
@@ -258,7 +291,7 @@ impl Graph {
             return Err(BitError::InvalidState(format!("type {name:?} already exists")));
         }
         let id = self.types.len() as u32;
-        self.types.push(TypeMeta { name: name.to_owned(), is_node, objects: Bitmap::new() });
+        self.types.push(TypeMeta { name: name.to_owned(), is_node, objects: Arc::default() });
         self.log(&encode_new_type(name, is_node))?;
         Ok(id)
     }
@@ -282,8 +315,8 @@ impl Graph {
             name: name.to_owned(),
             owner,
             dtype,
-            values: HashMap::new(),
-            index: indexed.then(BTreeMap::new),
+            values: OidMap::default(),
+            index: indexed.then(ValueIndex::default),
         });
         self.log(&encode_new_attr(owner, name, dtype, indexed))?;
         Ok(id)
@@ -327,9 +360,9 @@ impl Graph {
         if !meta.is_node {
             return Err(BitError::InvalidState(format!("{} is an edge type", meta.name)));
         }
-        let oid = self.ends.len() as Oid;
-        self.ends.push(NODE_SENTINEL);
-        self.types[ty as usize].objects.insert(oid);
+        let oid = self.next_oid;
+        self.next_oid += 1;
+        Arc::make_mut(&mut self.types[ty as usize].objects).insert(oid);
         self.log(&encode_add_node(ty))?;
         Ok(oid)
     }
@@ -340,27 +373,18 @@ impl Graph {
         if meta.is_node {
             return Err(BitError::InvalidState(format!("{} is a node type", meta.name)));
         }
-        if src as usize >= self.ends.len() || dst as usize >= self.ends.len() {
+        if src >= self.next_oid || dst >= self.next_oid {
             return Err(BitError::Unknown(format!("edge endpoint {src} or {dst}")));
         }
-        let oid = self.ends.len() as Oid;
-        self.ends.push((src, dst));
-        self.types[ty as usize].objects.insert(oid);
-        self.adjacency
-            .entry((ty, 0))
-            .or_default()
-            .entry(src)
-            .or_default()
-            .insert(oid);
-        self.adjacency
-            .entry((ty, 1))
-            .or_default()
-            .entry(dst)
-            .or_default()
-            .insert(oid);
+        let oid = self.next_oid;
+        self.next_oid += 1;
+        self.ends.insert(oid, pack_ends(src, dst));
+        Arc::make_mut(&mut self.types[ty as usize].objects).insert(oid);
+        self.adjacency.entry((ty, 0)).or_default().add(src, oid);
+        self.adjacency.entry((ty, 1)).or_default().add(dst, oid);
         if let Some(index) = self.neighbor_index.as_mut() {
-            index.entry((ty, 0)).or_default().entry(src).or_default().insert(dst);
-            index.entry((ty, 1)).or_default().entry(dst).or_default().insert(src);
+            index.entry((ty, 0)).or_default().add(src, dst);
+            index.entry((ty, 1)).or_default().add(dst, src);
         }
         self.log(&encode_add_edge(ty, src, dst))?;
         // Materialized-neighbor maintenance persists the updated neighbor
@@ -379,7 +403,7 @@ impl Graph {
     fn serialize_neighbors(&self, ty: u32, dir: u8, node: Oid) -> Vec<u8> {
         let mut out = Vec::new();
         if let Some(index) = &self.neighbor_index {
-            if let Some(bm) = index.get(&(ty, dir)).and_then(|m| m.get(&node)) {
+            if let Some(bm) = index.get(&(ty, dir)).and_then(|m| m.get(node)) {
                 for oid in bm.iter() {
                     out.extend_from_slice(&oid.to_le_bytes());
                 }
@@ -388,9 +412,13 @@ impl Graph {
         out
     }
 
-    /// Sets an attribute value. The value's type must match the attribute's.
+    /// Sets an attribute value. The object must exist and the value's type
+    /// must match the attribute's.
     pub fn set_attr(&mut self, oid: Oid, attr: u32, value: Value) -> Result<()> {
         let meta = self.attr_meta(attr)?;
+        if oid >= self.next_oid {
+            return Err(BitError::Unknown(format!("object oid {oid}")));
+        }
         let matches = matches!(
             (&value, meta.dtype),
             (Value::Int(_), DataType::Integer)
@@ -407,15 +435,10 @@ impl Graph {
         self.log(&encode_set_attr(oid, attr, &value))?;
         let meta = &mut self.attrs[attr as usize];
         if let Some(index) = meta.index.as_mut() {
-            if let Some(old) = meta.values.get(&oid) {
-                if let Some(bm) = index.get_mut(old) {
-                    bm.remove(oid);
-                    if bm.is_empty() {
-                        index.remove(old);
-                    }
-                }
+            if let Some(old) = meta.values.get(oid) {
+                index.remove(old, oid);
             }
-            index.entry(value.clone()).or_default().insert(oid);
+            index.entry(value.clone()).insert(oid);
         }
         meta.values.insert(oid, value);
         Ok(())
@@ -425,7 +448,7 @@ impl Graph {
     pub fn get_attr(&self, oid: Oid, attr: u32) -> Result<Option<Value>> {
         let meta = self.attr_meta(attr)?;
         self.stats.values_read.fetch_add(1, Ordering::Relaxed);
-        Ok(meta.values.get(&oid).cloned())
+        Ok(meta.values.get(oid).cloned())
     }
 
     /// First object whose `attr` equals `value` (unique-id lookups).
@@ -436,12 +459,8 @@ impl Graph {
             Some(index) => Ok(index.get(value).and_then(|bm| bm.iter().next())),
             None => {
                 self.stats.select_scans.fetch_add(1, Ordering::Relaxed);
-                Ok(meta
-                    .values
-                    .iter()
-                    .filter(|(_, v)| *v == value)
-                    .map(|(&oid, _)| oid)
-                    .min())
+                // Ascending oid order: the first match is the minimum.
+                Ok(meta.values.iter().find(|(_, v)| *v == value).map(|(oid, _)| oid))
             }
         }
     }
@@ -451,9 +470,11 @@ impl Graph {
         let meta = self.attr_meta(attr)?;
         if let Some(index) = &meta.index {
             self.stats.select_indexed.fetch_add(1, Ordering::Relaxed);
+            // Equal reads one bucket; every other condition unions the
+            // matching values of all buckets into one unordered set.
             let mut out = Bitmap::new();
-            let mut add_range = |iter: &mut dyn Iterator<Item = (&Value, &Bitmap)>| {
-                for (_, bm) in iter {
+            let mut add_all = |bms: &mut dyn Iterator<Item = &Bitmap>| {
+                for bm in bms {
                     for oid in bm.iter() {
                         out.insert(oid);
                     }
@@ -461,35 +482,21 @@ impl Graph {
             };
             use std::ops::Bound::*;
             match cond {
-                Condition::Equal => {
-                    if let Some(bm) = index.get(value) {
-                        for oid in bm.iter() {
-                            out.insert(oid);
-                        }
-                    }
-                }
+                Condition::Equal => add_all(&mut index.get(value).into_iter()),
                 Condition::NotEqual => {
-                    add_range(&mut index.iter().filter(|(v, _)| *v != value));
+                    add_all(&mut index.iter().filter(|(v, _)| *v != value).map(|(_, bm)| bm))
                 }
-                Condition::GreaterThan => {
-                    add_range(&mut index.range((Excluded(value.clone()), Unbounded)));
-                }
-                Condition::GreaterEqual => {
-                    add_range(&mut index.range((Included(value.clone()), Unbounded)));
-                }
-                Condition::LessThan => {
-                    add_range(&mut index.range((Unbounded, Excluded(value.clone()))));
-                }
-                Condition::LessEqual => {
-                    add_range(&mut index.range((Unbounded, Included(value.clone()))));
-                }
+                Condition::GreaterThan => add_all(&mut index.range(Excluded(value), Unbounded)),
+                Condition::GreaterEqual => add_all(&mut index.range(Included(value), Unbounded)),
+                Condition::LessThan => add_all(&mut index.range(Unbounded, Excluded(value))),
+                Condition::LessEqual => add_all(&mut index.range(Unbounded, Included(value))),
             }
             return Ok(Objects::from_bitmap(out));
         }
         // Unindexed: full scan of the attribute's values.
         self.stats.select_scans.fetch_add(1, Ordering::Relaxed);
         let mut out = Objects::new();
-        for (&oid, v) in &meta.values {
+        for (oid, v) in meta.values.iter() {
             let keep = match cond {
                 Condition::Equal => v == value,
                 Condition::NotEqual => v != value,
@@ -507,7 +514,7 @@ impl Graph {
 
     /// All objects of a type.
     pub fn objects_of_type(&self, ty: u32) -> Result<Objects> {
-        Ok(Objects::from_bitmap(self.type_meta(ty)?.objects.clone()))
+        Ok(Objects::from_bitmap(Bitmap::clone(&self.type_meta(ty)?.objects)))
     }
 
     /// Number of objects of a type.
@@ -523,7 +530,7 @@ impl Graph {
         if let Some(index) = &self.neighbor_index {
             let mut out = Bitmap::new();
             for &d in dirs(dir) {
-                if let Some(bm) = index.get(&(etype, d)).and_then(|m| m.get(&node)) {
+                if let Some(bm) = index.get(&(etype, d)).and_then(|m| m.get(node)) {
                     out = out.or(bm);
                 }
             }
@@ -531,7 +538,7 @@ impl Graph {
         }
         let mut out = Objects::new();
         for &d in dirs(dir) {
-            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&node)) {
+            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(node)) {
                 for edge in bm.iter() {
                     out.add(self.peer(edge, node)?);
                 }
@@ -545,7 +552,7 @@ impl Graph {
         self.stats.explode_calls.fetch_add(1, Ordering::Relaxed);
         let mut out = Bitmap::new();
         for &d in dirs(dir) {
-            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&node)) {
+            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(node)) {
                 out = out.or(bm);
             }
         }
@@ -556,7 +563,7 @@ impl Graph {
     pub fn degree(&self, node: Oid, etype: u32, dir: EdgesDirection) -> Result<u64> {
         let mut n = 0;
         for &d in dirs(dir) {
-            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&node)) {
+            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(node)) {
                 n += bm.len();
             }
         }
@@ -567,10 +574,10 @@ impl Graph {
     /// (checks the smaller adjacency bitmap).
     pub fn are_adjacent(&self, src: Oid, dst: Oid, etype: u32, dir: EdgesDirection) -> Result<bool> {
         for &d in dirs(dir) {
-            let fwd = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&src));
+            let fwd = self.adjacency.get(&(etype, d)).and_then(|m| m.get(src));
             let Some(bm) = fwd else { continue };
             // Compare against the reverse side of dst: pick the smaller set.
-            let back = self.adjacency.get(&(etype, 1 - d)).and_then(|m| m.get(&dst));
+            let back = self.adjacency.get(&(etype, 1 - d)).and_then(|m| m.get(dst));
             match back {
                 Some(bb) if bb.len() < bm.len() => {
                     for e in bb.iter() {
@@ -593,9 +600,9 @@ impl Graph {
 
     /// `(src, dst)` of an edge.
     pub fn edge_ends(&self, edge: Oid) -> Result<(Oid, Oid)> {
-        match self.ends.get(edge as usize) {
-            Some(&e) if e != NODE_SENTINEL => Ok(e),
-            _ => Err(BitError::Unknown(format!("edge oid {edge}"))),
+        match self.ends.get(edge) {
+            Some(&(s, d)) => Ok((s, d.get() - 1)),
+            None => Err(BitError::Unknown(format!("edge oid {edge}"))),
         }
     }
 
@@ -626,7 +633,7 @@ impl Graph {
 
     fn write_snapshot(&mut self) -> Result<()> {
         let mut rec = vec![OP_SNAP_BEGIN];
-        rec.extend_from_slice(&(self.ends.len() as u64).to_le_bytes());
+        rec.extend_from_slice(&self.next_oid.to_le_bytes());
         self.log_raw(&rec)?;
 
         // Type membership bitmaps.
@@ -647,13 +654,8 @@ impl Graph {
         }
 
         // Edge endpoints, batched.
-        let ends: Vec<(u64, Oid, Oid)> = self
-            .ends
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e != NODE_SENTINEL)
-            .map(|(oid, &(s, d))| (oid as u64, s, d))
-            .collect();
+        let ends: Vec<(u64, Oid, Oid)> =
+            self.ends.iter().map(|(oid, &(s, d))| (oid, s, d.get() - 1)).collect();
         for chunk in ends.chunks(1024) {
             let mut rec = vec![OP_SNAP_ENDS];
             rec.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
@@ -670,7 +672,7 @@ impl Graph {
             .adjacency
             .iter()
             .flat_map(|(&(ty, dir), m)| {
-                m.iter().map(move |(&node, bm)| (ty, dir, node, bm.iter().collect::<Vec<_>>()))
+                m.iter().map(move |(node, bm)| (ty, dir, node, bm.iter().collect::<Vec<_>>()))
             })
             .collect();
         for (ty, dir, node, edges) in adjacency {
@@ -689,7 +691,7 @@ impl Graph {
         for ai in 0..self.attrs.len() {
             let chunks: Vec<Vec<(Oid, Value)>> = {
                 let values: Vec<(Oid, Value)> =
-                    self.attrs[ai].values.iter().map(|(&o, v)| (o, v.clone())).collect();
+                    self.attrs[ai].values.iter().map(|(o, v)| (o, v.clone())).collect();
                 values.chunks(1024).map(|c| c.to_vec()).collect()
             };
             for chunk in chunks {
@@ -742,8 +744,7 @@ impl Graph {
         let b = &rec[1..];
         match kind {
             OP_SNAP_BEGIN => {
-                let n = u64_at(b, 0)? as usize;
-                self.ends = vec![NODE_SENTINEL; n];
+                self.next_oid = u64_at(b, 0)?;
             }
             OP_SNAP_TYPE => {
                 let ty = u32_at(b, 0)? as usize;
@@ -752,34 +753,28 @@ impl Graph {
                     .types
                     .get_mut(ty)
                     .ok_or_else(|| BitError::Malformed(format!("snapshot type {ty}")))?;
+                let objects = Arc::make_mut(&mut meta.objects);
                 for i in 0..n {
-                    meta.objects.insert(u64_at(b, 12 + i * 8)?);
+                    objects.insert(u64_at(b, 12 + i * 8)?);
                 }
             }
             OP_SNAP_ENDS => {
                 let n = u32_at(b, 0)? as usize;
                 for i in 0..n {
                     let at = 4 + i * 24;
-                    let oid = u64_at(b, at)? as usize;
-                    let s = u64_at(b, at + 8)?;
-                    let d = u64_at(b, at + 16)?;
-                    if oid >= self.ends.len() {
-                        self.ends.resize(oid + 1, NODE_SENTINEL);
-                    }
-                    self.ends[oid] = (s, d);
+                    let oid = self.snapshot_oid(u64_at(b, at)?)?;
+                    let s = self.snapshot_oid(u64_at(b, at + 8)?)?;
+                    let d = self.snapshot_oid(u64_at(b, at + 16)?)?;
+                    self.ends.insert(oid, pack_ends(s, d));
                 }
             }
             OP_SNAP_ADJ => {
                 let ty = u32_at(b, 0)?;
                 let dir = *b.get(4).ok_or_else(|| BitError::Malformed("short adj".into()))?;
-                let node = u64_at(b, 5)?;
+                let node = self.snapshot_oid(u64_at(b, 5)?)?;
                 let n = u32_at(b, 13)? as usize;
-                let bm = self
-                    .adjacency
-                    .entry((ty, dir))
-                    .or_default()
-                    .entry(node)
-                    .or_default();
+                let adjacency = self.adjacency.entry((ty, dir)).or_default();
+                let bm = Arc::make_mut(adjacency.get_or_insert_with(node, Arc::default));
                 for i in 0..n {
                     bm.insert(u64_at(b, 17 + i * 8)?);
                 }
@@ -789,7 +784,7 @@ impl Graph {
                 let n = u32_at(b, 4)? as usize;
                 let mut at = 8;
                 for _ in 0..n {
-                    let oid = u64_at(b, at)?;
+                    let oid = self.snapshot_oid(u64_at(b, at)?)?;
                     let vlen = u32_at(b, at + 8)? as usize;
                     let v = decode_value(
                         b.get(at + 12..at + 12 + vlen)
@@ -814,8 +809,7 @@ impl Graph {
                     .attrs
                     .get_mut(attr)
                     .ok_or_else(|| BitError::Malformed(format!("snapshot attr {attr}")))?;
-                let index = meta.index.get_or_insert_with(BTreeMap::new);
-                let bm = index.entry(v).or_default();
+                let bm = meta.index.get_or_insert_with(ValueIndex::default).entry(v);
                 for i in 0..n {
                     bm.insert(u64_at(b, 12 + vlen + i * 8)?);
                 }
@@ -826,14 +820,24 @@ impl Graph {
         Ok(())
     }
 
+    /// An oid read from a snapshot record, checked against the object count
+    /// its `OP_SNAP_BEGIN` declared: the oid-keyed maps allocate chunks up
+    /// to the largest oid they hold, so a corrupt oid must not reach them.
+    fn snapshot_oid(&self, oid: Oid) -> Result<Oid> {
+        if oid < self.next_oid {
+            Ok(oid)
+        } else {
+            Err(BitError::Malformed(format!("snapshot oid {oid} beyond {} objects", self.next_oid)))
+        }
+    }
+
     fn rebuild_neighbor_index(&mut self) -> Result<()> {
-        let mut index: HashMap<(u32, u8), HashMap<Oid, Bitmap>> = HashMap::new();
+        let mut index: HashMap<(u32, u8), BitmapMap> = HashMap::new();
         for (&(ty, dir), m) in &self.adjacency {
             let slot = index.entry((ty, dir)).or_default();
-            for (&node, bm) in m {
-                let nb = slot.entry(node).or_default();
+            for (node, bm) in m.iter() {
                 for e in bm.iter() {
-                    nb.insert(self.peer(e, node)?);
+                    slot.add(node, self.peer(e, node)?);
                 }
             }
         }
@@ -880,7 +884,7 @@ impl Graph {
 
     /// Total objects (nodes + edges).
     pub fn object_count(&self) -> u64 {
-        self.ends.len() as u64
+        self.next_oid
     }
 
     // -- oplog ----------------------------------------------------------------
@@ -949,6 +953,12 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// An `ends` slot for an edge `src -> dst`; `dst` is an existing oid, so
+/// below `u64::MAX`.
+fn pack_ends(src: Oid, dst: Oid) -> (Oid, NonZeroU64) {
+    (src, NonZeroU64::MIN.saturating_add(dst))
 }
 
 fn dirs(dir: EdgesDirection) -> &'static [u8] {
@@ -1435,6 +1445,20 @@ mod snapshot_tests {
             assert!(g.find_object(uid, &Value::Int(999)).unwrap().is_some());
             assert_eq!(g.count_objects(user).unwrap(), 21);
         }
+    }
+
+    #[test]
+    fn snapshot_oids_beyond_the_object_count_are_rejected() {
+        let mut g = Graph::new(GraphConfig::default());
+        let mut begin = vec![OP_SNAP_BEGIN];
+        begin.extend_from_slice(&2u64.to_le_bytes());
+        g.apply_snapshot_record(&begin).unwrap();
+        let mut ends = vec![OP_SNAP_ENDS];
+        ends.extend_from_slice(&1u32.to_le_bytes());
+        for x in [u64::MAX >> 1, 0, 1] {
+            ends.extend_from_slice(&x.to_le_bytes());
+        }
+        assert!(matches!(g.apply_snapshot_record(&ends), Err(BitError::Malformed(_))));
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!   blow-up the paper aborted after eight hours.
 //! * Native **BFS/DFS traversals and `SinglePairShortestPathBFS`**
 //!   ([`traversal`]) with a maximum-hops bound.
+//! * **Copy-on-write structure**: per-object data lives in `Arc`-shared
+//!   chunks, so [`Graph::snapshot_clone`] copies chunk handles only and a
+//!   read generation costs a commit only the chunks it touched.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +39,7 @@ pub mod extent;
 pub mod graph;
 pub mod loader;
 pub mod objects;
+mod oidmap;
 pub mod traversal;
 
 pub use bitmap::Bitmap;

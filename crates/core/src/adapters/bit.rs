@@ -9,16 +9,13 @@
 //!
 //! The engine's write API is `&mut Graph`, while [`MicroblogEngine`] keeps
 //! every method on `&self` so one engine instance can serve many reader
-//! threads. The adapter bridges the two with a `parking_lot::RwLock`:
-//! queries take the read lock once per call (reads run concurrently),
-//! [`MicroblogEngine::apply_event`] takes the write lock. Each public
-//! method acquires the lock exactly once and hands the borrowed `&Graph`
-//! to helpers — never re-entering the lock, which with a fair rwlock and a
-//! waiting writer would deadlock.
+//! threads. The adapter bridges the two with epoch publication (DESIGN.md
+//! §4j): writers mutate a canonical graph under a `parking_lot::RwLock`
+//! and, at commit, publish a [`Graph::snapshot_clone`] of it; queries
+//! clone the published `Arc` once per call and run lock-free on that
+//! immutable generation, handing the borrowed `&Graph` to helpers.
 
 use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bitgraph::graph::{Condition, EdgesDirection, Graph, Oid};
@@ -27,7 +24,7 @@ use micrograph_common::topn::{merge_top_n, Counted, TopKPartial, TopN};
 use micrograph_common::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
 
-use crate::engine::{MicroblogEngine, Ranked, WriteMode};
+use crate::engine::{MicroblogEngine, Ranked};
 use crate::schema;
 use crate::{CoreError, Result};
 
@@ -47,51 +44,18 @@ struct Handles {
 
 /// The navigation adapter over a loaded [`Graph`].
 ///
-/// Two read disciplines coexist (DESIGN.md §4j): in
-/// [`WriteMode::Snapshot`] (the default) every query clones one `Arc` of
-/// the published immutable generation and runs lock-free, so a write burst
-/// never blocks a reader; in [`WriteMode::Locked`] queries take the
-/// canonical graph's read lock — the pre-snapshot oracle. Writers always
-/// mutate the canonical copy under the write lock and, in Snapshot mode,
-/// republish a fresh generation at commit.
+/// Every query clones one `Arc` of the published immutable generation and
+/// runs lock-free, so a write burst never blocks a reader (DESIGN.md §4j).
+/// Writers mutate the canonical copy under the write lock and publish a
+/// fresh generation at commit. The generations share all unchanged data
+/// with the canonical copy, so a publish costs what the commit touched.
 pub struct BitEngine {
     /// Canonical graph: owns the extent log, takes every write.
     g: RwLock<Graph>,
-    /// The published read generation (Snapshot mode). Swapped wholesale at
-    /// every commit; the lock is held only long enough to clone the `Arc`.
+    /// The published read generation. Swapped wholesale at every commit;
+    /// the lock is held only long enough to clone or swap the `Arc`.
     snap: RwLock<Arc<Graph>>,
-    /// [`WriteMode`] as a u8 (0 = Locked, 1 = Snapshot).
-    mode: AtomicU8,
     h: Handles,
-}
-
-/// A read view of the graph under either discipline: a borrowed lock guard
-/// (Locked) or an owned generation handle (Snapshot). Derefs to [`Graph`]
-/// so query code is mode-oblivious.
-enum ReadView<'a> {
-    Locked(RwLockReadGuard<'a, Graph>),
-    Snapshot(Arc<Graph>),
-}
-
-impl Deref for ReadView<'_> {
-    type Target = Graph;
-    fn deref(&self) -> &Graph {
-        match self {
-            ReadView::Locked(g) => g,
-            ReadView::Snapshot(g) => g,
-        }
-    }
-}
-
-fn mode_to_u8(mode: WriteMode) -> u8 {
-    match mode {
-        WriteMode::Locked => 0,
-        WriteMode::Snapshot => 1,
-    }
-}
-
-fn mode_from_u8(v: u8) -> WriteMode {
-    if v == 0 { WriteMode::Locked } else { WriteMode::Snapshot }
 }
 
 /// Bounded top-k with a threshold bound — the adapter's client-side answer
@@ -115,9 +79,10 @@ fn topk_bounded<K: Ord>(entries: Vec<Counted<K>>, k: usize) -> TopKPartial<K> {
 
 impl BitEngine {
     /// Wraps a graph loaded with the standard schema (see
-    /// [`crate::ingest`]). Fails when a required type or attribute is
-    /// missing.
-    pub fn new(g: Graph) -> Result<BitEngine> {
+    /// [`crate::ingest`]), compacting it once ([`Graph::compact`]) so reads
+    /// run on a contiguous layout. Fails when a required type or attribute
+    /// is missing.
+    pub fn new(mut g: Graph) -> Result<BitEngine> {
         let ty = |name: &str| {
             g.find_type(name)
                 .ok_or_else(|| CoreError::Bit(format!("schema type {name:?} missing")))
@@ -140,54 +105,43 @@ impl BitEngine {
             tag: attr(hashtag, schema::TAG)?,
             followers: attr(user, schema::FOLLOWERS)?,
         };
+        g.compact();
         let snap = RwLock::new(Arc::new(g.snapshot_clone()));
-        Ok(BitEngine {
-            g: RwLock::new(g),
-            snap,
-            mode: AtomicU8::new(mode_to_u8(WriteMode::default())),
-            h,
-        })
+        Ok(BitEngine { g: RwLock::new(g), snap, h })
     }
 
     /// Read access to the underlying canonical graph (for examples and
     /// benches).
     ///
     /// The guard holds the engine's read lock: drop it before applying
-    /// events, and do not call the engine's own query methods while
-    /// holding it in Locked mode (they take the lock themselves).
+    /// events.
     pub fn graph(&self) -> RwLockReadGuard<'_, Graph> {
         self.g.read()
     }
 
-    fn load_write_mode(&self) -> WriteMode {
-        mode_from_u8(self.mode.load(Ordering::Acquire))
+    /// The read view of one public query method: an `Arc` clone of the
+    /// published generation (no reader ever touches the write lock).
+    fn read(&self) -> Arc<Graph> {
+        Arc::clone(&self.snap.read())
     }
 
-    /// One read view per public query method: an `Arc` clone of the
-    /// published generation (Snapshot — no reader ever touches the write
-    /// lock) or the canonical read guard (Locked). Acquired exactly once
-    /// per call, like the old `self.g.read()` sites.
-    fn read(&self) -> ReadView<'_> {
-        match self.load_write_mode() {
-            WriteMode::Snapshot => ReadView::Snapshot(Arc::clone(&self.snap.read())),
-            WriteMode::Locked => ReadView::Locked(self.g.read()),
-        }
-    }
-
-    /// Republishes the read generation from the canonical graph (Snapshot
-    /// mode only; a no-op in Locked mode, where readers see the canonical
-    /// copy directly).
+    /// Republishes the read generation from the canonical graph. The old
+    /// generation is dropped after the publish lock is released, so readers
+    /// never wait out its teardown.
     fn publish(&self, g: &Graph) {
-        if self.load_write_mode() == WriteMode::Snapshot {
-            *self.snap.write() = Arc::new(g.snapshot_clone());
-        }
+        let fresh = Arc::new(g.snapshot_clone());
+        let old = {
+            let mut snap = self.snap.write();
+            std::mem::replace(&mut *snap, fresh)
+        };
+        drop(old);
     }
 
     /// The single write commit path: mutates the canonical graph under the
-    /// write lock, then (Snapshot mode) republishes a fresh generation —
-    /// even when `f` failed, because a batch may have applied a valid
-    /// prefix before the failing event, and that prefix is committed state
-    /// the looped oracle exposes too.
+    /// write lock, then republishes a fresh generation — even when `f`
+    /// failed, because a batch may have applied a valid prefix before the
+    /// failing event, and that prefix is committed state the looped oracle
+    /// exposes too.
     fn with_write<T>(&self, f: impl FnOnce(&mut Graph) -> Result<T>) -> Result<T> {
         let mut g = self.g.write();
         let out = f(&mut g);
@@ -816,8 +770,7 @@ impl MicroblogEngine for BitEngine {
 
     /// Applies one streaming update (the paper's future-work update
     /// workload) through the navigation engine's write API, behind the
-    /// adapter's write lock; in Snapshot mode the commit republishes the
-    /// read generation.
+    /// adapter's write lock; the commit republishes the read generation.
     fn apply_event(&self, event: &micrograph_datagen::UpdateEvent) -> Result<()> {
         self.with_write(|g| self.stage_event(g, event))
     }
@@ -834,22 +787,6 @@ impl MicroblogEngine for BitEngine {
             }
             Ok(())
         })
-    }
-
-    fn write_mode(&self) -> Option<WriteMode> {
-        Some(self.load_write_mode())
-    }
-
-    fn set_write_mode(&self, mode: WriteMode) -> bool {
-        if mode == WriteMode::Snapshot {
-            // Republish from the canonical graph BEFORE flipping: Locked-
-            // mode writes bypass publication, so the stored generation may
-            // be stale. Readers keep using the lock until the store below.
-            let g = self.g.read();
-            *self.snap.write() = Arc::new(g.snapshot_clone());
-        }
-        self.mode.store(mode_to_u8(mode), Ordering::Release);
-        true
     }
 
     fn reset_stats(&self) {

@@ -79,35 +79,22 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// BitEngine's write/publish discipline (DESIGN.md §4j) — a pure
-/// performance toggle in the style of [`arbor_ql::ExecMode`]: flipping it
-/// never moves a byte of any answer, error text, or serve digest.
-///
-/// * [`WriteMode::Snapshot`] (the default): reads run lock-free over an
-///   epoch-published immutable `Arc<Graph>` generation; every commit
-///   rebuilds and swaps the published snapshot, so a write burst never
-///   blocks a reader.
-/// * [`WriteMode::Locked`]: the original semantic oracle — every read
-///   takes the graph's `RwLock` read side and sees the canonical copy
-///   directly.
+/// A former write/publish toggle for the bitgraph backend, no longer
+/// settable: bitgraph always reads epoch-published `Arc<Graph>` generations
+/// (DESIGN.md §4j), whose publish costs O(delta), so the `Locked` read
+/// discipline won on no metric and was deleted. No engine reports or
+/// accepts a mode ([`MicroblogEngine::write_mode`] is `None`,
+/// [`MicroblogEngine::set_write_mode`] is `false`). The type and both hooks
+/// stay only because the benchmark's tracing wrapper
+/// (`perfbench/src/trace.rs`) forwards them by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WriteMode {
-    /// Readers share the writer's `RwLock` (the pre-snapshot oracle).
+    /// Readers share the writer's `RwLock` (deleted discipline).
     Locked,
     /// Readers clone a published `Arc<Graph>` generation; writers swap a
-    /// fresh generation in at commit. Readers never block.
+    /// fresh generation in at commit.
     #[default]
     Snapshot,
-}
-
-impl WriteMode {
-    /// Stable label for reports and bench artifacts.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WriteMode::Locked => "locked",
-            WriteMode::Snapshot => "snapshot",
-        }
-    }
 }
 
 impl From<arbor_ql::QlError> for CoreError {
@@ -451,21 +438,15 @@ pub trait MicroblogEngine: Send + Sync {
         false
     }
 
-    /// The snapshot-read/write-publish discipline, when this engine is (or
-    /// wraps/shards) the bitgraph backend — `None` for engines whose reads
-    /// never contend with a writer lock (arbordb's page store is already
-    /// MVCC-ish: readers hold no lock across a query). Like the other
-    /// toggles, a pure performance switch (DESIGN.md §4j): flipping it
-    /// never moves a byte of any answer.
+    /// Default-only hook: no engine overrides it, so it always returns
+    /// `None` (bitgraph has one read discipline, see [`WriteMode`]). Kept
+    /// for the same reason as [`MicroblogEngine::batched_kernels`].
     fn write_mode(&self) -> Option<WriteMode> {
         None
     }
 
-    /// Switches the write/publish discipline at runtime, returning `false`
-    /// when the engine has no toggle. `&self` like every other method —
-    /// benches flip one built engine between modes mid-run. Switching into
-    /// [`WriteMode::Snapshot`] republishes from the canonical graph so a
-    /// stale generation can never serve.
+    /// Default-only hook: always `false` (nothing to switch). Kept for the
+    /// same reason as [`MicroblogEngine::batched_kernels`].
     fn set_write_mode(&self, _mode: WriteMode) -> bool {
         false
     }

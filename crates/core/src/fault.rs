@@ -1021,15 +1021,6 @@ impl MicroblogEngine for ChaosEngine {
         self.inner.set_exec_mode(mode)
     }
 
-    fn write_mode(&self) -> Option<crate::engine::WriteMode> {
-        self.inner.write_mode()
-    }
-
-    fn set_write_mode(&self, mode: crate::engine::WriteMode) -> bool {
-        // Ungated, like the other instrumentation passthroughs.
-        self.inner.set_write_mode(mode)
-    }
-
     fn replica_count(&self) -> Option<usize> {
         self.inner.replica_count()
     }

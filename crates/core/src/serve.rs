@@ -564,8 +564,6 @@ pub struct MixedReport {
     pub engine: &'static str,
     /// Reader threads used.
     pub threads: usize,
-    /// The engine's write mode (`None` when it has no snapshot toggle).
-    pub write_mode: Option<crate::engine::WriteMode>,
     /// Reader-side latencies during the write burst.
     pub reader: ReadSummary,
     /// Writer-side batch latencies and ingest throughput.
@@ -573,7 +571,7 @@ pub struct MixedReport {
     /// A deterministic single-threaded serving run executed **after** the
     /// writer drained every event — the byte-comparable artifact. Its
     /// digest must be invariant under every performance toggle (threads,
-    /// batch size, batched flag, write mode).
+    /// batch size, batched flag).
     pub quiesced: ServeReport,
 }
 
@@ -585,18 +583,13 @@ impl MixedReport {
 
     /// Renders the report as an aligned text table.
     pub fn render(&self) -> String {
-        let mode = self
-            .write_mode
-            .map(|m| format!(", {} writes", m.as_str()))
-            .unwrap_or_default();
         let w = &self.writer;
         let r = &self.reader;
         let mut out = format!(
-            "== mixed serving: {} — {} reads / {} thread(s){}, {} events @ batch {} ({}) ==\n",
+            "== mixed serving: {} — {} reads / {} thread(s), {} events @ batch {} ({}) ==\n",
             self.engine,
             r.requests,
             self.threads,
-            mode,
             w.events,
             w.batch,
             if w.batched { "group commit" } else { "per event" },
@@ -724,7 +717,6 @@ pub fn serve_mixed(
     Ok(MixedReport {
         engine: engine.name(),
         threads: config.threads,
-        write_mode: engine.write_mode(),
         reader,
         writer,
         quiesced,

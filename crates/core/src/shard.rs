@@ -1587,22 +1587,6 @@ impl MicroblogEngine for ShardedEngine {
         ok
     }
 
-    fn write_mode(&self) -> Option<crate::engine::WriteMode> {
-        // All replicas run the same backend; the first one speaks for all.
-        self.shards.first().and_then(|g| g.replicas.first()).and_then(|s| s.write_mode())
-    }
-
-    fn set_write_mode(&self, mode: crate::engine::WriteMode) -> bool {
-        // Flip every replica of every shard, like `set_exec_mode`.
-        let mut ok = true;
-        for g in &self.shards {
-            for s in &g.replicas {
-                ok &= s.set_write_mode(mode);
-            }
-        }
-        ok
-    }
-
     fn replica_count(&self) -> Option<usize> {
         Some(self.replicas)
     }

@@ -1,17 +1,14 @@
-//! Mixed read/write serving (DESIGN.md §4j): non-blocking snapshot reads
-//! and group-commit write batching are pure performance toggles.
+//! Mixed read/write serving (DESIGN.md §4j): group-commit write batching
+//! is a pure performance toggle, and snapshot reads stay batch-atomic.
 //!
-//! * Flipping bitgraph's `WriteMode` (epoch-published snapshots vs the
-//!   locked oracle) never moves a byte of any served answer, on the
-//!   monolith and through the sharded composition.
 //! * Feeding the same event stream through `apply_event_batch` (group
 //!   commit) vs the per-event loop leaves every engine in byte-identical
 //!   state, across the engine matrix and for adversarial batch sizes.
 //! * A mid-batch failure commits exactly the batch's successful prefix —
 //!   the same state and the same error text as the looped oracle, in BOTH
 //!   adapters.
-//! * Readers racing a write burst in Snapshot mode only ever observe
-//!   batch-atomic states (commits publish whole batches, never partial).
+//! * Readers racing a write burst only ever observe batch-atomic states
+//!   (commits publish whole batches, never partial).
 //! * Under transient chaos with retries, batches are never double-applied:
 //!   the chaos gate fires before mutation, so a retried batch reruns
 //!   against pre-batch state.
@@ -21,7 +18,7 @@ use micrograph_core::ingest::{
     build_chaos_sharded_engines, build_engines, build_sharded_engines,
 };
 use micrograph_core::serve::{serve, ServeConfig};
-use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy, WriteMode};
+use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy};
 use micrograph_datagen::{generate, Dataset, GenConfig, StreamGen, StreamMix, UpdateEvent};
 use proptest::prelude::*;
 
@@ -69,42 +66,6 @@ fn feed_looped(e: &dyn MicroblogEngine, events: &[UpdateEvent]) {
     for event in events {
         e.apply_event(event).unwrap();
     }
-}
-
-#[test]
-fn write_mode_flip_never_moves_a_byte() {
-    // Half the stream lands in Snapshot mode, half in Locked; then the
-    // served answers are read back under both modes. Every digest — and
-    // the arbordb reference digest — must agree: the write mode is a pure
-    // performance toggle, monolithic and sharded.
-    let (ds, g) = dataset(501, "flip");
-    let files = ds.write_csv(&g.0.join("csv")).unwrap();
-    let (arbor, bit, _) = build_engines(&files).unwrap();
-    let (_sharded_arbor, sharded_bit) =
-        build_sharded_engines(&ds, &g.0.join("shards"), 2).unwrap();
-    let events = stream(&ds, 501, 300);
-    let (first, second) = events.split_at(events.len() / 2);
-
-    feed_looped(&arbor, &events);
-    let reference = serve(&arbor, &serve_config()).unwrap().digest();
-
-    for engine in [&bit as &dyn MicroblogEngine, &sharded_bit] {
-        assert_eq!(engine.write_mode(), Some(WriteMode::Snapshot), "{}", engine.name());
-        feed_batched(engine, first, 32);
-        assert!(engine.set_write_mode(WriteMode::Locked), "{}", engine.name());
-        feed_batched(engine, second, 32);
-        let locked = serve(engine, &serve_config()).unwrap().digest();
-        // Flipping back must republish the canonical graph as a snapshot —
-        // including everything written while the snapshot path was idle.
-        assert!(engine.set_write_mode(WriteMode::Snapshot), "{}", engine.name());
-        let snapshot = serve(engine, &serve_config()).unwrap().digest();
-        assert_eq!(locked, snapshot, "{}: write-mode flip changed answers", engine.name());
-        assert_eq!(snapshot, reference, "{}: diverged from arbordb", engine.name());
-    }
-
-    // Engines without the snapshot machinery must refuse the toggle.
-    assert_eq!(arbor.write_mode(), None);
-    assert!(!arbor.set_write_mode(WriteMode::Locked));
 }
 
 #[test]
@@ -198,7 +159,6 @@ fn readers_only_observe_batch_atomic_states_during_burst() {
     let (ds, g) = dataset(504, "atomic");
     let files = ds.write_csv(&g.0.join("csv")).unwrap();
     let (_arbor, bit, _) = build_engines(&files).unwrap();
-    assert_eq!(bit.write_mode(), Some(WriteMode::Snapshot));
     let fresh = 50_000u64;
     bit.apply_event(&UpdateEvent::NewUser { uid: fresh, name: "burst".into() }).unwrap();
     let batches: Vec<Vec<UpdateEvent>> = (0..BATCHES)
