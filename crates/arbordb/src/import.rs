@@ -17,6 +17,8 @@
 //!   `(type, direction)` with group entries for dense nodes.
 //! * **Indexes are created after import** ("it cannot create indexes while
 //!   importing takes place"), timed separately.
+//! * An **empty field** leaves its property absent, as in neo4j-admin
+//!   import; an empty id field is `Malformed`.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -209,9 +211,23 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
                             nf.columns.len()
                         )));
                     }
+                    // An empty field leaves its property absent (as in
+                    // neo4j-admin import), except in the id column: a node
+                    // without an id could never be an edge endpoint.
+                    if fields[id_col].is_empty() {
+                        return Err(ArborError::Malformed(format!(
+                            "{:?} line {}: empty id column {:?}",
+                            nf.path,
+                            reader.line_no(),
+                            nf.id_column
+                        )));
+                    }
                     // Build the property chain back-to-front.
                     let mut head = NO_PROP;
                     for (i, col) in nf.columns.iter().enumerate().rev() {
+                        if fields[i].is_empty() {
+                            continue;
+                        }
                         let value = col.ty.parse(&fields[i])?;
                         let (vtype, val, aux) = db.encode_value_raw(&value, &mut tx)?;
                         let pid = db.props.allocate(&mut tx)?;
@@ -626,6 +642,41 @@ mod tests {
             indexes: vec![],
         };
         assert!(bulk_import(&db, &source, &ImportOptions::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_fields_leave_properties_absent_and_empty_ids_are_malformed() {
+        let dir = tmpdir("empty");
+        let mut source = tiny_source(&dir);
+        source.nodes[0].columns.push(ColumnSpec::new("followers", ColumnType::Int));
+        write_file(&dir, "users.csv", "1,alice,3\n2,,\n3,carol,\n");
+        let db = GraphDb::open_memory(DbConfig::default()).unwrap();
+        bulk_import(&db, &source, &ImportOptions::default()).unwrap();
+        let node = |uid| db.index_seek("user", "uid", &Value::Int(uid)).unwrap()[0];
+        assert_eq!(db.node_prop(node(1), "followers").unwrap(), Some(Value::Int(3)));
+        assert_eq!(db.node_prop(node(2), "name").unwrap(), None);
+        assert_eq!(db.node_prop(node(2), "followers").unwrap(), None);
+        assert_eq!(db.node_prop(node(3), "name").unwrap(), Some(Value::from("carol")));
+        assert_eq!(db.node_prop(node(3), "followers").unwrap(), None);
+        let follows = db.rel_type_id("follows").unwrap();
+        assert_eq!(db.degree(node(2), Some(follows), Direction::Incoming).unwrap(), 1);
+
+        // An empty id, of either column type, is an error and never a node.
+        for (users, tweets) in [(",alice,3\n", "100,a\n"), ("1,alice,3\n", ",a\n")] {
+            write_file(&dir, "users.csv", users);
+            write_file(&dir, "tweets.csv", tweets);
+            let db = GraphDb::open_memory(DbConfig::default()).unwrap();
+            let err = bulk_import(&db, &source, &ImportOptions::default()).unwrap_err();
+            assert!(matches!(err, ArborError::Malformed(_)), "{err:?}");
+        }
+        let mut source = tiny_source(&dir);
+        source.nodes[1].columns[0].ty = ColumnType::Str;
+        write_file(&dir, "users.csv", "1,alice\n");
+        write_file(&dir, "tweets.csv", ",a\n");
+        let db = GraphDb::open_memory(DbConfig::default()).unwrap();
+        let err = bulk_import(&db, &source, &ImportOptions::default()).unwrap_err();
+        assert!(matches!(err, ArborError::Malformed(_)), "{err:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -23,6 +23,10 @@
 //!   amplification makes the load time superlinear — pass
 //!   [`LoadOptions::abort_after`] to reproduce the paper's aborted import;
 //! * **no incremental load**: the loader refuses a non-empty graph.
+//!
+//! An empty CSV field leaves its attribute absent, as in the arbordb
+//! importer; an empty field in a key column (indexed, or an edge
+//! endpoint's id) is `Malformed`.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -384,6 +388,15 @@ pub fn load(
         let t = type_ids[&ns.type_name];
         let cols: Vec<u32> =
             ns.columns.iter().map(|(n, _)| attr_ids[&(ns.type_name.clone(), n.clone())]).collect();
+        // Key columns — indexed, or resolving edge endpoints — must never
+        // be empty: a node without its key could not be found or linked.
+        let keys: Vec<bool> = ns
+            .columns
+            .iter()
+            .map(|(n, _)| {
+                ns.indexed.contains(n) || id_maps.contains_key(&(ns.type_name.clone(), n.clone()))
+            })
+            .collect();
         let file = std::fs::File::open(base_dir.join(&ns.file))?;
         let mut reader = CsvReader::new(BufReader::new(file));
         let mut fields = Vec::new();
@@ -397,8 +410,20 @@ pub fn load(
                     ns.columns.len()
                 )));
             }
+            if let Some(i) = (0..fields.len()).find(|&i| keys[i] && fields[i].is_empty()) {
+                return Err(BitError::Malformed(format!(
+                    "{:?} line {}: empty key column {:?}",
+                    ns.file,
+                    reader.line_no(),
+                    ns.columns[i].0
+                )));
+            }
             let oid = g.add_node(t)?;
             for (i, (name, dt)) in ns.columns.iter().enumerate() {
+                // Any other empty field leaves the attribute absent.
+                if fields[i].is_empty() {
+                    continue;
+                }
                 let v = parse_value(*dt, &fields[i], &ns.file, reader.line_no())?;
                 if let Some(map) = id_maps.get_mut(&(ns.type_name.clone(), name.clone())) {
                     map.insert(v.clone(), oid);
@@ -628,6 +653,48 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
         std::fs::write(dir.join("follows.csv"), "1,99\n").unwrap();
         let script = parse_script(SCRIPT).unwrap();
         assert!(load(None, &script, &dir, &LoadOptions::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_fields_leave_attributes_absent_and_empty_keys_are_malformed() {
+        let dir = setup("empty");
+        let script = parse_script(
+            &SCRIPT.replace("(uid integer, name string)", "(uid integer, name string, followers integer)"),
+        )
+        .unwrap();
+        std::fs::write(dir.join("users.csv"), "1,alice,3\n2,,\n3,carol,\n").unwrap();
+        let (g, _) = load(None, &script, &dir, &LoadOptions::default()).unwrap();
+        let user = g.find_type("user").unwrap();
+        let attr = |name| g.find_attribute(user, name).unwrap();
+        let node = |uid| g.find_object(attr("uid"), &Value::Int(uid)).unwrap().unwrap();
+        assert_eq!(g.get_attr(node(1), attr("followers")).unwrap(), Some(Value::Int(3)));
+        assert_eq!(g.get_attr(node(2), attr("name")).unwrap(), None);
+        assert_eq!(g.get_attr(node(2), attr("followers")).unwrap(), None);
+        assert_eq!(g.get_attr(node(3), attr("followers")).unwrap(), None);
+        let follows = g.find_type("follows").unwrap();
+        assert_eq!(g.neighbors(node(2), follows, EdgesDirection::Ingoing).unwrap().count(), 1);
+
+        // An empty key — an indexed column, or one an edge resolves on — is
+        // an error and never a node.
+        let unindexed = SCRIPT.replace("'tweets.csv' index tid", "'tweets.csv'");
+        for (k, (script, users, tweets)) in [
+            (SCRIPT, ",alice\n", "100,hello\n"),
+            (SCRIPT, "1,alice\n", ",hello\n"),
+            (unindexed.as_str(), "1,alice\n", ",hello\n"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            std::fs::write(dir.join("users.csv"), users).unwrap();
+            std::fs::write(dir.join("tweets.csv"), tweets).unwrap();
+            let script = parse_script(script).unwrap();
+            let path = dir.join(format!("bad-{k}.gdb"));
+            let err = load(Some(&path), &script, &dir, &LoadOptions::default())
+                .err()
+                .expect("an empty key fails the load");
+            assert!(matches!(err, BitError::Malformed(_)), "{err:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

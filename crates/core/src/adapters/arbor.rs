@@ -308,12 +308,18 @@ impl ArborEngine {
         use micrograph_datagen::UpdateEvent;
         match event {
             UpdateEvent::NewUser { uid, name } => {
-                // Upsert: when a placeholder exists (ensure_user ghost, or
-                // bump_followers racing ahead of this event), fill in the
-                // attributes and keep the accumulated follower count.
+                // Upsert: when a placeholder exists (a bare ensure_user
+                // ghost, or bump_followers racing ahead of this event),
+                // fill in the attributes and keep the accumulated follower
+                // count; a bare node starts counting from 0.
                 match self.find_user(created, *uid as i64)? {
                     Some(node) => {
                         tx.set_node_prop(node, crate::schema::NAME, Value::Str(name.clone()))?;
+                        for key in [crate::schema::FOLLOWERS, crate::schema::VERIFIED] {
+                            if self.db.node_prop(node, key)?.is_none() {
+                                tx.set_node_prop(node, key, Value::Int(0))?;
+                            }
+                        }
                     }
                     None => {
                         let node = tx.create_node(
@@ -337,12 +343,13 @@ impl ArborEngine {
                     .find_user(created, *followee as i64)?
                     .ok_or_else(|| CoreError::NotFound(format!("user {followee}")))?;
                 tx.create_rel(a, b, crate::schema::FOLLOWS, &[])?;
-                let count = self
-                    .db
-                    .node_prop(b, crate::schema::FOLLOWERS)?
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0);
-                tx.set_node_prop(b, crate::schema::FOLLOWERS, Value::Int(count + 1))?;
+                // A bare ghost followee has no count to keep: its owner
+                // shard counts the follow (`bump_followers`).
+                if let Some(count) =
+                    self.db.node_prop(b, crate::schema::FOLLOWERS)?.and_then(|v| v.as_int())
+                {
+                    tx.set_node_prop(b, crate::schema::FOLLOWERS, Value::Int(count + 1))?;
+                }
             }
             UpdateEvent::NewTweet { tid, uid, text, mentions, tags } => {
                 let poster = self
@@ -697,15 +704,7 @@ impl MicroblogEngine for ArborEngine {
             return Ok(());
         }
         let mut tx = self.db.begin_write()?;
-        tx.create_node(
-            crate::schema::USER,
-            &[
-                (crate::schema::UID, Value::Int(uid)),
-                (crate::schema::NAME, Value::Str(String::new())),
-                (crate::schema::FOLLOWERS, Value::Int(0)),
-                (crate::schema::VERIFIED, Value::Int(0)),
-            ],
-        )?;
+        tx.create_node(crate::schema::USER, &[(crate::schema::UID, Value::Int(uid))])?;
         tx.commit()?;
         Ok(())
     }
@@ -716,14 +715,14 @@ impl MicroblogEngine for ArborEngine {
         // later `NewUser` fills in attributes without resetting the count.
         match self.node_of_uid(uid)? {
             Some(node) => {
-                let count = self
-                    .db
-                    .node_prop(node, crate::schema::FOLLOWERS)?
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0);
-                let mut tx = self.db.begin_write()?;
-                tx.set_node_prop(node, crate::schema::FOLLOWERS, Value::Int(count + delta))?;
-                tx.commit()?;
+                // Like a follow, a bump leaves a bare node bare.
+                let count =
+                    self.db.node_prop(node, crate::schema::FOLLOWERS)?.and_then(|v| v.as_int());
+                if let Some(count) = count {
+                    let mut tx = self.db.begin_write()?;
+                    tx.set_node_prop(node, crate::schema::FOLLOWERS, Value::Int(count + delta))?;
+                    tx.commit()?;
+                }
             }
             None => {
                 let mut tx = self.db.begin_write()?;

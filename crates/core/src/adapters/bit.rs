@@ -149,9 +149,9 @@ impl BitEngine {
         out
     }
 
-    /// Creates a bare user node (empty name, 0 followers, unverified) —
-    /// the placeholder shape `ensure_user`/`bump_followers` upsert and a
-    /// later `NewUser` event fills in.
+    /// Creates a placeholder user node (empty name, 0 followers,
+    /// unverified) — the shape `bump_followers` upserts on the owner shard
+    /// and a later `NewUser` event fills in.
     fn create_placeholder(&self, g: &mut Graph, uid: i64) -> Result<Oid> {
         let user_ty = g.find_type(schema::USER).expect("schema loaded");
         let name_attr = g
@@ -187,12 +187,18 @@ impl BitEngine {
             .ok_or_else(|| CoreError::Bit("text attribute missing".into()))?;
         match event {
             UpdateEvent::NewUser { uid, name } => {
-                // Upsert: when a placeholder exists (ensure_user ghost, or
-                // bump_followers racing ahead of this event), fill in the
-                // attributes and keep the accumulated follower count.
+                // Upsert: when a placeholder exists (a bare ensure_user
+                // ghost, or bump_followers racing ahead of this event),
+                // fill in the attributes and keep the accumulated follower
+                // count; a bare node starts counting from 0.
                 match g.find_object(self.h.uid, &Value::Int(*uid as i64))? {
                     Some(o) => {
                         g.set_attr(o, name_attr, Value::Str(name.clone()))?;
+                        for attr in [self.h.followers, verified_attr] {
+                            if g.get_attr(o, attr)?.is_none() {
+                                g.set_attr(o, attr, Value::Int(0))?;
+                            }
+                        }
                     }
                     None => {
                         let o = g.add_node(user_ty)?;
@@ -211,11 +217,11 @@ impl BitEngine {
                     .find_object(self.h.uid, &Value::Int(*followee as i64))?
                     .ok_or_else(|| CoreError::NotFound(format!("user {followee}")))?;
                 g.add_edge(self.h.follows, a, b)?;
-                let count = g
-                    .get_attr(b, self.h.followers)?
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0);
-                g.set_attr(b, self.h.followers, Value::Int(count + 1))?;
+                // A bare ghost followee has no count to keep: its owner
+                // shard counts the follow (`bump_followers`).
+                if let Some(count) = g.get_attr(b, self.h.followers)?.and_then(|v| v.as_int()) {
+                    g.set_attr(b, self.h.followers, Value::Int(count + 1))?;
+                }
             }
             UpdateEvent::NewTweet { tid, uid, text, mentions, tags } => {
                 // Resolve EVERY referenced entity before the first write:
@@ -748,7 +754,12 @@ impl MicroblogEngine for BitEngine {
             // generation (no clone).
             return Ok(());
         }
-        let res = self.create_placeholder(&mut g, uid).map(|_| ());
+        // A bare ghost: the uid and nothing else (no `followers` value).
+        let user_ty = g.find_type(schema::USER).expect("schema loaded");
+        let res = g
+            .add_node(user_ty)
+            .and_then(|o| g.set_attr(o, self.h.uid, Value::Int(uid)))
+            .map_err(CoreError::from);
         self.publish(&g);
         res
     }
@@ -762,8 +773,10 @@ impl MicroblogEngine for BitEngine {
                 Some(o) => o,
                 None => self.create_placeholder(g, uid)?,
             };
-            let count = g.get_attr(o, self.h.followers)?.and_then(|v| v.as_int()).unwrap_or(0);
-            g.set_attr(o, self.h.followers, Value::Int(count + delta))?;
+            // Like a follow, a bump leaves a bare node bare.
+            if let Some(count) = g.get_attr(o, self.h.followers)?.and_then(|v| v.as_int()) {
+                g.set_attr(o, self.h.followers, Value::Int(count + delta))?;
+            }
             Ok(())
         })
     }

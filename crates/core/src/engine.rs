@@ -337,24 +337,32 @@ pub trait MicroblogEngine: Send + Sync {
     }
 
     /// Creates a bare user node for `uid` when absent — a ghost replica
-    /// used as the local endpoint of a cross-shard edge (`followers`
-    /// starts at 0, other attributes empty). Idempotent.
+    /// used as the local endpoint of a cross-shard edge. The node carries
+    /// the uid and nothing else: no `followers`, `name` or `verified`
+    /// value, so a `followers` value exists only on the owner shard and no
+    /// shard's Q1.1 selects a user it does not own. A follow onto a ghost
+    /// leaves it bare; a `NewUser` onto it fills every attribute in.
+    /// Idempotent.
     fn ensure_user(&self, uid: i64) -> Result<()>;
 
     /// Adjusts the stored `followers` property of `uid` by `delta` — the
     /// owner-shard half of a cross-shard follow. **Upserts**: when the user
     /// does not exist locally yet (a cross-shard follow replayed ahead of
-    /// the owner's `new user` event), a bare placeholder is created first
-    /// and the delta applied to it; a later `NewUser` event fills in the
-    /// attributes without resetting the accumulated count.
+    /// the owner's `new user` event), a placeholder (empty name, count 0,
+    /// unverified) is created first and the delta applied to it; a later `NewUser` event fills in the
+    /// attributes without resetting the accumulated count. Like a follow,
+    /// a bump leaves a bare node (one without a `followers` value) bare,
+    /// so a sharded engine counts exactly where its monolith does.
     fn bump_followers(&self, uid: i64, delta: i64) -> Result<()>;
 
     // ---- update workload (§5 future work) -----------------------------------
 
     /// Applies one streaming update event (new user / follow / tweet),
     /// keeping the `followers` property consistent with incoming `follows`
-    /// edges. Semantics are identical across adapters — the cross-engine
-    /// equivalence invariant covers post-update state too.
+    /// edges (a follow bumps the followee's count only when it has one: a
+    /// bare ghost's count lives at its owner). Semantics are identical
+    /// across adapters — the cross-engine equivalence invariant covers
+    /// post-update state too.
     fn apply_event(&self, event: &micrograph_datagen::UpdateEvent) -> Result<()>;
 
     /// Applies a batch of streaming events as one group commit (DESIGN.md

@@ -8,8 +8,10 @@
 //! 1. **Partitioning** — [`shard_of`] hash-assigns every user to one of N
 //!    shards; [`partition_dataset`] splits a generated [`Dataset`] into N
 //!    per-shard datasets (tweets ride with their poster, edges with their
-//!    routing endpoint, ghost replicas for cross-shard endpoints, hashtag
-//!    nodes replicated everywhere).
+//!    routing endpoint, bare ghost replicas — a uid and nothing else — for
+//!    cross-shard user endpoints, hashtag nodes replicated everywhere).
+//!    Invariant: a `followers` value exists only on the owner shard, so a
+//!    shard's Q1.1 selection never sees a user it does not own.
 //! 2. **Kernels** — both adapters expose shard-local partial queries
 //!    (`*_kernel` methods on [`MicroblogEngine`]) that report exactly what
 //!    one shard stores.
@@ -63,7 +65,7 @@ use std::sync::Arc;
 
 use crossbeam::channel;
 use micrograph_common::topn::{merge_top_n, Counted, TopKPartial};
-use micrograph_datagen::{Dataset, Tweet, User};
+use micrograph_datagen::{Dataset, Tweet};
 
 use crate::engine::{MicroblogEngine, Ranked};
 use crate::fault::{self, DegradationMode, FaultCounters, FaultStats, RetryPolicy};
@@ -72,7 +74,7 @@ use crate::{CoreError, Result};
 /// The shard owning `uid`: a SplitMix64-finalized hash of the uid modulo
 /// the shard count. The finalizer scrambles sequential uids so partitions
 /// are balanced; the function is pure, so every layer (ingest routing,
-/// query routing, ownership filters) agrees on placement.
+/// query and kernel-input routing) agrees on placement.
 pub fn shard_of(uid: i64, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard count must be positive");
     let mut z = (uid as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -92,10 +94,13 @@ pub fn shard_of(uid: i64, shards: usize) -> usize {
 /// * A `follows` edge lives on the **follower's** shard (out-edges local,
 ///   in-edges scattered — the merge layer compensates where it matters).
 /// * A `retweets` edge lives on the retweeting poster's shard.
-/// * Cross-shard endpoints get **ghost replicas**: a copy of the real user
-///   (or, for retweet targets, the real tweet plus its poster) so every
-///   local edge resolves. Ghosts never own data — ownership filters
-///   (`shard_of(x) == shard index`) exclude them from global answers.
+/// * Cross-shard user endpoints get **ghost replicas** in
+///   [`Dataset::ghosts`]: a bare uid with no other property, so every
+///   local edge resolves but no shard ever stores (or selects on) a
+///   `followers`, `name` or `verified` value of a user it does not own.
+///   A retweet target on another shard rides along as a copy of the real
+///   tweet, with its poster as a ghost user. Ghost tweets never own data
+///   — kernels that walk `posts` edges route their inputs by ownership.
 /// * Hashtag nodes are replicated to every shard (they are few, and the
 ///   update path needs tag lookups to resolve locally).
 ///
@@ -104,7 +109,6 @@ pub fn shard_of(uid: i64, shards: usize) -> usize {
 pub fn partition_dataset(d: &Dataset, shards: usize) -> Vec<Dataset> {
     assert!(shards > 0, "shard count must be positive");
     let owner = |uid: u64| shard_of(uid as i64, shards);
-    let user_by_uid: HashMap<u64, &User> = d.users.iter().map(|u| (u.uid, u)).collect();
     let tweet_by_tid: HashMap<u64, &Tweet> = d.tweets.iter().map(|t| (t.tid, t)).collect();
     let poster_shard = |tid: u64| {
         owner(tweet_by_tid.get(&tid).expect("tweet of edge exists").uid)
@@ -153,9 +157,7 @@ pub fn partition_dataset(d: &Dataset, shards: usize) -> Vec<Dataset> {
     }
 
     for (s, ghosts) in ghost_users.into_iter().enumerate() {
-        for uid in ghosts {
-            parts[s].users.push(user_by_uid[&uid].clone());
-        }
+        parts[s].ghosts = ghosts.into_iter().collect();
     }
     for (s, ghosts) in ghost_tweets.into_iter().enumerate() {
         for tid in ghosts {
@@ -255,7 +257,7 @@ fn sum_counts<K: Ord>(parts: Vec<Vec<(K, u64)>>) -> Vec<(K, u64)> {
 
 /// Concatenates disjoint per-shard partials into one pre-sized ascending
 /// list — the merge for every scatter whose per-shard answers cannot
-/// overlap (ownership-filtered or edge-disjoint).
+/// overlap (owner-only data or edge-disjoint).
 fn concat_sorted<T: Ord>(parts: Vec<Vec<T>>) -> Vec<T> {
     let mut out: Vec<T> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for part in parts {
@@ -1110,16 +1112,12 @@ impl MicroblogEngine for ShardedEngine {
     }
 
     fn users_with_followers_over(&self, threshold: i64) -> Result<Vec<i64>> {
-        // Broadcast; each shard's answer is filtered to the users it OWNS
-        // (ghost replicas carry real follower counts and would otherwise
-        // duplicate). Owned sets are disjoint, so concat + sort is exact.
+        // Broadcast. A `followers` value exists only on the owner shard
+        // (ghosts are bare uids), so each shard selects exactly the users
+        // it owns; owned sets are disjoint, so concat + sort is exact.
         self.q(|| {
-            let n = self.shards.len();
-            let parts = self.broadcast(fault::key_i64(threshold), move |i, s| {
-                Ok(s.users_with_followers_over(threshold)?
-                    .into_iter()
-                    .filter(|&uid| shard_of(uid, n) == i)
-                    .collect::<Vec<_>>())
+            let parts = self.broadcast(fault::key_i64(threshold), move |_, s| {
+                s.users_with_followers_over(threshold)
             })?;
             Ok(concat_sorted(parts))
         })
@@ -1471,10 +1469,10 @@ impl MicroblogEngine for ShardedEngine {
                 if src == dst {
                     self.write_at(src, |s| s.apply_event(event))
                 } else {
-                    // Edge + ghost followee at the follower's shard. The
-                    // inner engine also bumps the ghost's follower count,
-                    // which is invisible globally: only Q1 reads the
-                    // property, and its merge filters by ownership.
+                    // Edge + bare ghost followee at the follower's shard.
+                    // The inner engine leaves the ghost bare, so a
+                    // `followers` value stays on the owner shard only
+                    // (Q1.1's unfiltered merge relies on it).
                     self.write_at(src, |s| s.ensure_user(fb))?;
                     self.write_at(src, |s| s.apply_event(event))?;
                     // The real count lives at the owner.
@@ -1595,6 +1593,7 @@ impl MicroblogEngine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use micrograph_datagen::User;
 
     #[test]
     fn shard_of_is_deterministic_and_in_range() {
@@ -1686,6 +1685,7 @@ mod tests {
             mentions: vec![(1, 3), (1, 3), (2, 5), (3, 7), (4, 1), (5, 2)],
             tags: vec![(1, 0), (1, 1), (2, 0), (3, 1), (5, 0)],
             retweets: vec![(2, 1), (3, 1), (4, 2), (6, 5)],
+            ghosts: vec![],
         }
     }
 
@@ -1732,7 +1732,8 @@ mod tests {
         let d = tiny();
         for shards in [2usize, 4] {
             for (i, p) in partition_dataset(&d, shards).into_iter().enumerate() {
-                let users: BTreeSet<u64> = p.users.iter().map(|u| u.uid).collect();
+                let users: BTreeSet<u64> =
+                    p.users.iter().map(|u| u.uid).chain(p.ghosts.iter().copied()).collect();
                 let tweets: BTreeSet<u64> = p.tweets.iter().map(|t| t.tid).collect();
                 assert_eq!(p.hashtags, d.hashtags, "hashtags replicate everywhere");
                 for &(a, b) in &p.follows {
@@ -1753,13 +1754,22 @@ mod tests {
     }
 
     #[test]
-    fn partition_ghost_users_carry_real_attributes() {
+    fn partition_ghosts_are_bare() {
         let d = tiny();
-        let by_uid: HashMap<u64, &User> = d.users.iter().map(|u| (u.uid, u)).collect();
-        for p in partition_dataset(&d, 4) {
-            for u in &p.users {
-                assert_eq!(u, by_uid[&u.uid], "replica must equal the original record");
+        for shards in [2usize, 4] {
+            let mut ghosted = 0;
+            for (i, p) in partition_dataset(&d, shards).into_iter().enumerate() {
+                let own: BTreeSet<u64> = p.users.iter().map(|u| u.uid).collect();
+                for u in &p.users {
+                    assert_eq!(shard_of(u.uid as i64, shards), i, "users holds owned users only");
+                    assert!(d.users.contains(u), "an owned user keeps its real record");
+                }
+                let ghosts: BTreeSet<u64> = p.ghosts.iter().copied().collect();
+                assert_eq!(ghosts.len(), p.ghosts.len(), "shard {i}: ghosts are distinct");
+                assert!(own.is_disjoint(&ghosts), "shard {i}: a ghost is never owned here");
+                ghosted += ghosts.len();
             }
+            assert!(ghosted > 0, "{shards} shards: the fixture must exercise ghosts");
         }
     }
 

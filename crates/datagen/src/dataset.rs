@@ -47,6 +47,10 @@ pub struct Dataset {
     pub tags: Vec<(u64, usize)>,
     /// `retweets`: (retweeting tid, original tid). Empty unless enabled.
     pub retweets: Vec<(u64, u64)>,
+    /// Bare user nodes: a uid and no other property. Only shard partitions
+    /// have them (the local endpoints of cross-shard edges); `users.csv`
+    /// gets one `uid,,,` row each, after the real users.
+    pub ghosts: Vec<u64>,
 }
 
 /// Table 1 — characteristics of the data set.
@@ -127,7 +131,7 @@ impl DatasetStats {
 pub struct CsvFiles {
     /// Directory holding every file.
     pub dir: PathBuf,
-    /// `uid,name,followers,verified`
+    /// `uid,name,followers,verified` (ghosts: `uid,,,`)
     pub users: PathBuf,
     /// `tid,text`
     pub tweets: PathBuf,
@@ -175,6 +179,9 @@ impl Dataset {
                 u.followers.to_string(),
                 (u.verified as u8).to_string(),
             ])?;
+        }
+        for uid in &self.ghosts {
+            w.write_row(&[uid.to_string().as_str(), "", "", ""])?;
         }
         w.into_inner()?;
 
@@ -255,6 +262,7 @@ mod tests {
             mentions: vec![(1, 2)],
             tags: vec![(1, 0)],
             retweets: vec![],
+            ghosts: vec![],
         }
     }
 
@@ -292,6 +300,18 @@ mod tests {
         // Quoting: the tweet text contains a comma.
         let tw = std::fs::read_to_string(&files.tweets).unwrap();
         assert!(tw.contains("\"hi, there\""), "{tw}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ghosts_are_written_as_bare_user_rows() {
+        let dir = std::env::temp_dir().join(format!("datagen-ghost-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Dataset { ghosts: vec![7, 9], ..tiny() };
+        let files = d.write_csv(&dir).unwrap();
+        let users = std::fs::read_to_string(&files.users).unwrap();
+        assert_eq!(users, "1,a,1,0\n2,b,0,1\n7,,,\n9,,,\n");
+        assert_eq!(d.stats().users, 2, "ghosts are not users of the dataset");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -164,7 +164,7 @@ pub fn generate(config: &GenConfig) -> Dataset {
         }
     }
 
-    Dataset { users, tweets, hashtags, follows, mentions, tags, retweets }
+    Dataset { users, tweets, hashtags, follows, mentions, tags, retweets, ghosts: Vec::new() }
 }
 
 #[cfg(test)]
