@@ -11,19 +11,16 @@
 //!   fig4 [a-h]    Figure 4 query latency panels (all panels by default)
 //!   ablations     §4 discussion items D1–D6
 //!   updates       §5 future-work update workload (FW1)
-//!   serving       §5 concurrent multi-reader serving throughput (FW2)
-//!                 plus the ArborQL executor axis (tuple vs vectorized)
-//!                 (--json also writes BENCH_serving.json: seq-vs-par
-//!                 scatter throughput and p50/p95/p99 per shard count,
-//!                 tuple-vs-vectorized executor rows, replica rows and
-//!                 mixed read/write rows)
 //!   chaos         §5 fault-injection robustness (retries/deadlines/degradation)
 //!   summary       §3.2 import/size headline comparison
 //!   all           everything above, in paper order
 //! ```
 //!
+//! Serving throughput and latency are measured by `perfbench`, not here.
 //! Series are printed as aligned tables with a sparkline and written as CSV
-//! under the output directory.
+//! under the output directory. An unknown command, scale or `fig4` panel,
+//! or an argument to a command that takes none, exits with status 2 before
+//! the fixture is built.
 
 use std::path::{Path, PathBuf};
 
@@ -31,19 +28,69 @@ use micrograph_bench::figures::{self, Panel};
 use micrograph_bench::report::Series;
 use micrograph_bench::{fixture, Scale};
 
+/// A validated command: everything the fixture-building run needs.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Table1,
+    Table2,
+    Fig2,
+    Fig3,
+    Fig4(Vec<Panel>),
+    Ablations,
+    Updates,
+    Chaos,
+    Summary,
+    All,
+}
+
+impl Command {
+    /// Parses a command name and its trailing arguments. Only `fig4` takes
+    /// arguments (panel ids); every other command rejects them.
+    fn parse(name: &str, rest: &[String]) -> Result<Command, String> {
+        if name == "fig4" {
+            if rest.is_empty() {
+                return Ok(Command::Fig4(Panel::ALL.to_vec()));
+            }
+            return rest
+                .iter()
+                .map(|p| {
+                    Panel::parse(p).ok_or_else(|| format!("unknown fig4 panel {p:?}; expected a-h"))
+                })
+                .collect::<Result<_, _>>()
+                .map(Command::Fig4);
+        }
+        let command = match name {
+            "table1" => Command::Table1,
+            "table2" => Command::Table2,
+            "fig2" => Command::Fig2,
+            "fig3" => Command::Fig3,
+            "ablations" => Command::Ablations,
+            "updates" => Command::Updates,
+            "chaos" => Command::Chaos,
+            "summary" => Command::Summary,
+            "all" => Command::All,
+            other => return Err(format!("unknown command {other:?}; see the module docs")),
+        };
+        match rest.first() {
+            Some(extra) => Err(format!("command {name:?} takes no arguments, got {extra:?}")),
+            None => Ok(command),
+        }
+    }
+}
+
 struct Args {
     scale: Scale,
     out: PathBuf,
-    command: String,
-    rest: Vec<String>,
+    command: Command,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line (without the program name).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut scale = Scale::from_env(Scale::Small);
     let mut out = PathBuf::from("results");
     let mut command = String::new();
     let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -51,10 +98,7 @@ fn parse_args() -> Args {
                     Some("unit") => Scale::Unit,
                     Some("small") => Scale::Small,
                     Some("medium") => Scale::Medium,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => return Err(format!("unknown scale {other:?}")),
                 }
             }
             "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| "results".into())),
@@ -65,7 +109,8 @@ fn parse_args() -> Args {
     if command.is_empty() {
         command = "all".into();
     }
-    Args { scale, out, command, rest }
+    let command = Command::parse(&command, &rest)?;
+    Ok(Args { scale, out, command })
 }
 
 fn emit(series: &Series, out: &Path) {
@@ -88,7 +133,10 @@ fn emit(series: &Series, out: &Path) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "# building fixture at scale {:?} (set --scale / MICROGRAPH_SCALE to change)...",
         args.scale
@@ -106,46 +154,25 @@ fn main() {
         }
     };
 
-    match args.command.as_str() {
-        "table1" => print!("{}", figures::table1(f)),
-        "table2" => print!("{}", figures::table2()),
-        "fig2" => {
+    match &args.command {
+        Command::Table1 => print!("{}", figures::table1(f)),
+        Command::Table2 => print!("{}", figures::table2()),
+        Command::Fig2 => {
             for s in figures::fig2(f) {
                 emit(&s, &args.out);
             }
         }
-        "fig3" => {
+        Command::Fig3 => {
             for s in figures::fig3(f) {
                 emit(&s, &args.out);
             }
         }
-        "fig4" => {
-            let panels: Vec<Panel> = if args.rest.is_empty() {
-                Panel::ALL.to_vec()
-            } else {
-                args.rest
-                    .iter()
-                    .filter_map(|s| Panel::parse(s))
-                    .collect()
-            };
-            run_fig4(&panels);
-        }
-        "ablations" => print!("{}", figures::ablations(f)),
-        "updates" => print!("{}", figures::update_throughput(f)),
-        "serving" => {
-            print!("{}", figures::serving(f));
-            if args.rest.iter().any(|a| a == "--json") {
-                let scale = format!("{:?}", args.scale).to_ascii_lowercase();
-                let path = PathBuf::from("BENCH_serving.json");
-                match std::fs::write(&path, figures::serving_json(f, &scale)) {
-                    Ok(()) => eprintln!("# wrote {}", path.display()),
-                    Err(e) => eprintln!("# {} write failed: {e}", path.display()),
-                }
-            }
-        }
-        "chaos" => print!("{}", figures::chaos(f)),
-        "summary" => print!("{}", figures::import_summary(f)),
-        "all" => {
+        Command::Fig4(panels) => run_fig4(panels),
+        Command::Ablations => print!("{}", figures::ablations(f)),
+        Command::Updates => print!("{}", figures::update_throughput(f)),
+        Command::Chaos => print!("{}", figures::chaos(f)),
+        Command::Summary => print!("{}", figures::import_summary(f)),
+        Command::All => {
             println!("{}", figures::table1(f));
             println!("{}", figures::table2());
             print!("{}", figures::import_summary(f));
@@ -159,12 +186,39 @@ fn main() {
             run_fig4(&Panel::ALL);
             print!("{}", figures::ablations(f));
             print!("{}", figures::update_throughput(f));
-            print!("{}", figures::serving(f));
             print!("{}", figures::chaos(f));
         }
-        other => {
-            eprintln!("unknown command {other:?}; see the module docs");
-            std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Command, String> {
+        parse_args(line.split_whitespace().map(String::from)).map(|a| a.command)
+    }
+
+    #[test]
+    fn known_commands_parse() {
+        assert_eq!(parse(""), Ok(Command::All));
+        assert_eq!(parse("--scale unit chaos"), Ok(Command::Chaos));
+        assert_eq!(parse("fig4"), Ok(Command::Fig4(Panel::ALL.to_vec())));
+        assert_eq!(parse("fig4 a H"), Ok(Command::Fig4(vec![Panel::A, Panel::H])));
+    }
+
+    #[test]
+    fn bad_input_is_rejected_before_any_work() {
+        for line in [
+            "--scale unit fig4 z",
+            "fig4 a z",
+            "--scale unit serving",
+            "serving --json",
+            "nonsense",
+            "table1 extra",
+            "--scale huge table1",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} must be rejected");
         }
     }
 }

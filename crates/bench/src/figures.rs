@@ -9,9 +9,10 @@
 //! | Fig 4a–h | [`fig4`] (Q3.1 / Q4.1 / Q5.2 / Q6.1 per engine) |
 //! | §4 items | [`ablations`] (D1–D6 in DESIGN.md) |
 //! | §5 FW1   | [`update_throughput`] (the future-work update workload) |
-//! | §5 FW2   | [`serving`] (concurrent multi-reader throughput) |
 //! | §5 FW3   | [`chaos`] (fault-injection robustness, DESIGN.md §4d) |
-//! | §5 FW4   | [`serving_json`] (tail latency: p50/p95/p99 per scatter row, DESIGN.md §4f) |
+//!
+//! Serving throughput and latency (FW2, FW4–FW9) are measured by the
+//! `perfbench` package alone; their invariants are integration tests.
 
 use arbor_ql::EngineOptions;
 use arbor_ql::plan::PlannerOptions;
@@ -487,754 +488,6 @@ pub fn update_throughput(f: &Fixture) -> String {
         EVENTS as f64 / arbor_ms * 1000.0,
         EVENTS as f64 / bit_ms * 1000.0,
     )
-}
-
-/// One measurement on the mixed read/write axis of [`serving`]
-/// (DESIGN.md §4j): one writer drains a firehose event stream in batches
-/// while two readers serve the Q1–Q6 mix against the same engine.
-pub struct MixedRow {
-    /// Engine name.
-    pub engine: &'static str,
-    /// Write-path label: `snapshot` for bitgraph (readers run on published
-    /// generations), `latched` for arbordb (readers queue behind the
-    /// transaction latch).
-    pub mode: &'static str,
-    /// Events per write batch.
-    pub batch: usize,
-    /// Whether batches took the group-commit path (`false` = the per-event
-    /// loop, the semantic oracle).
-    pub batched: bool,
-    /// Ingest throughput during the burst (events/s).
-    pub write_eps: f64,
-    /// 99th-percentile per-batch commit latency (ms).
-    pub write_p99_ms: f64,
-    /// Reader throughput during the burst (requests/s).
-    pub read_qps: f64,
-    /// Median reader latency during the burst (ms).
-    pub read_p50_ms: f64,
-    /// 95th-percentile reader latency during the burst (ms).
-    pub read_p95_ms: f64,
-    /// 99th-percentile reader latency during the burst (ms).
-    pub read_p99_ms: f64,
-}
-
-/// Measures the mixed read/write axis: arbordb on disk (real WAL) at batch
-/// sizes 1 (per-event loop) / 64 / 256, then bitgraph at the same ladder.
-/// Every run rebuilds its engine from the fixture's CSV bundle, applies the
-/// same event stream, and must land on the same quiesced serving digest:
-/// batch size and batching are pure performance toggles (asserted here;
-/// `tests/mixed_serving.rs` pins the same property across the full engine
-/// matrix).
-pub fn mixed_axis(f: &Fixture) -> Vec<MixedRow> {
-    use micrograph_core::adapters::BitEngine;
-    use micrograph_core::ingest::ingest_arbor;
-    use micrograph_core::serve::{serve_mixed, MixedConfig};
-    use micrograph_datagen::{StreamGen, StreamMix};
-
-    const EVENTS: usize = 1_000;
-    let users = f.dataset.users.len() as u64;
-    let stream_config = crate::fixture::Scale::Small.config();
-    let mut events_gen = StreamGen::new(&f.dataset, &stream_config, 7, StreamMix::default());
-    let events = events_gen.events(EVENTS);
-    let base = MixedConfig {
-        threads: 2,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        batch: 1,
-        batched: false,
-    };
-
-    let mut rows = Vec::new();
-    let mut digest = None;
-    let mut run = |engine: &dyn MicroblogEngine, mode: &'static str, batch: usize, batched: bool| {
-        let report = serve_mixed(engine, &events, &MixedConfig { batch, batched, ..base })
-            .expect("mixed serve");
-        let d = report.digest();
-        assert_eq!(
-            *digest.get_or_insert(d),
-            d,
-            "{} quiesced answers changed with batch={batch} batched={batched} mode={mode}",
-            engine.name()
-        );
-        rows.push(MixedRow {
-            engine: report.engine,
-            mode,
-            batch,
-            batched,
-            write_eps: report.writer.events_per_s,
-            write_p99_ms: report.writer.p99_ms,
-            read_qps: report.reader.qps,
-            read_p50_ms: report.reader.p50_ms,
-            read_p95_ms: report.reader.p95_ms,
-            read_p99_ms: report.reader.p99_ms,
-        });
-    };
-
-    // arbordb on disk — the WAL is what group commit amortizes.
-    for (i, (batch, batched)) in [(1usize, false), (64, true), (256, true)].iter().enumerate() {
-        // The axis may run twice in one process (text report + JSON
-        // artifact) — each run needs a fresh on-disk database.
-        let dir = f.dir.join(format!("mixed-arbordb-{i}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (db, _) = ingest_arbor(
-            &f.files,
-            Some(&dir),
-            arbordb::db::DbConfig::default(),
-            &arbordb::import::ImportOptions::default(),
-        )
-        .expect("ingest");
-        let arbor = ArborEngine::new(db);
-        run(&arbor, "latched", *batch, *batched);
-    }
-    // bitgraph: the same ladder, reads on published snapshots.
-    for (batch, batched) in [(1usize, false), (64, true), (256, true)] {
-        let (g, _) = ingest_bit(
-            &f.files,
-            None,
-            bitgraph::loader::LoadConfig::default(),
-            &bitgraph::loader::LoadOptions { sample_interval: 5_000, abort_after: None },
-        )
-        .expect("load");
-        let bit = BitEngine::new(g).expect("engine");
-        run(&bit, "snapshot", batch, batched);
-    }
-    rows
-}
-
-/// The concurrent-serving experiment: a mixed Q1–Q6 request stream from
-/// 1/2/4 reader threads over each shared engine — per-query latency
-/// percentiles and aggregate throughput (the LDBC-style multi-client axis
-/// the paper leaves open; see DESIGN.md "Concurrency & serving").
-pub fn serving(f: &Fixture) -> String {
-    use micrograph_core::ingest::build_sharded_engines;
-    let users = f.dataset.users.len() as u64;
-    let mut out = String::new();
-    out.push_str("== Concurrent serving (shared engine, mixed Q1-Q6 stream) ==\n\n");
-    for engine in [&f.arbor as &dyn MicroblogEngine, &f.bit] {
-        let mut digest = None;
-        for threads in [1usize, 2, 4] {
-            let config = ServeConfig { threads, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-            let report = serve(engine, &config).expect("serve");
-            // The rendered results must not depend on the thread count.
-            let d = report.digest();
-            assert_eq!(*digest.get_or_insert(d), d, "{} serving nondeterminism", engine.name());
-            out.push_str(&report.render());
-            out.push('\n');
-        }
-    }
-    // Scale-out axis: the same stream over hash-partitioned 2-shard
-    // compositions of both backends, pinned byte-identical to the
-    // unsharded engines above (the ShardedEngine correctness invariant,
-    // exercised here so the CI smoke run covers the merge layer too).
-    let config = ServeConfig { threads: 4, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let (sharded_arbor, sharded_bit) =
-        build_sharded_engines(&f.dataset, &f.dir.join("serving-shards-2"), 2)
-            .expect("build sharded engines");
-    for (engine, base) in [
-        (&sharded_arbor as &dyn MicroblogEngine, &f.arbor as &dyn MicroblogEngine),
-        (&sharded_bit, &f.bit),
-    ] {
-        let report = serve(engine, &config).expect("serve");
-        let unsharded = serve(base, &config).expect("serve");
-        assert_eq!(
-            report.digest(),
-            unsharded.digest(),
-            "{} diverged from {}",
-            engine.name(),
-            base.name()
-        );
-        out.push_str(&report.render());
-        out.push('\n');
-    }
-    // Scatter-execution axis: the Sequential oracle vs the parallel worker
-    // pool (DESIGN.md §4e), one reader so the only concurrency is the
-    // scatter fan-out itself. Digest equality across modes is asserted
-    // inside scatter_axis; only wall-clock may differ.
-    out.push_str("-- Scatter execution: sequential vs parallel (1 reader) --\n\n");
-    let rows = scatter_axis(f);
-    let (arbor_qps, bit_qps) = gap_headline(&rows);
-    for pair in rows.chunks(2) {
-        let (seq, par) = (&pair[0], &pair[1]);
-        out.push_str(&format!(
-            "{} x{}: seq {:.0} q/s, par {:.0} q/s ({:.2}x), par p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            seq.engine,
-            seq.shards,
-            seq.qps,
-            par.qps,
-            par.qps / seq.qps.max(f64::MIN_POSITIVE),
-            par.p50_ms,
-            par.p95_ms,
-            par.p99_ms,
-        ));
-    }
-    // Sharded backend gap (DESIGN.md §4h): the 4-shard parallel rows above,
-    // arbordb against bitgraph.
-    out.push_str(&format!(
-        "\ngap headline: bitgraph/arbordb = {:.2}x (4 shards, parallel)\n",
-        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
-    ));
-    // Executor axis: arbordb's tuple-at-a-time oracle vs the vectorized
-    // operators (DESIGN.md §4g). Digest equality across modes is asserted
-    // inside exec_axis; only wall-clock may differ.
-    out.push_str("\n-- ArborQL executor: tuple vs vectorized (1 reader, arbordb) --\n\n");
-    let rows = exec_axis(f);
-    let mut i = 0;
-    while i < rows.len() {
-        if rows[i].exec == "tuple" && i + 1 < rows.len() && rows[i + 1].exec == "vectorized" {
-            let (tup, vec) = (&rows[i], &rows[i + 1]);
-            out.push_str(&format!(
-                "{} (shards={}): tuple {:.0} q/s, vectorized {:.0} q/s ({:.2}x), \
-                 vec p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-                tup.engine,
-                tup.shards,
-                tup.qps,
-                vec.qps,
-                vec.qps / tup.qps.max(f64::MIN_POSITIVE),
-                vec.p50_ms,
-                vec.p95_ms,
-                vec.p99_ms,
-            ));
-            i += 2;
-        } else {
-            let r = &rows[i];
-            out.push_str(&format!(
-                "{} (shards={}): {} {:.0} q/s, p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-                r.engine, r.shards, r.exec, r.qps, r.p50_ms, r.p95_ms, r.p99_ms,
-            ));
-            i += 1;
-        }
-    }
-    // Mixed read/write axis (DESIGN.md §4j): group-commit batching and
-    // non-blocking snapshot reads under a firehose write burst. Quiesced
-    // digests are asserted equal inside mixed_axis.
-    out.push_str("\n-- Mixed read/write: group commit (1 writer, 2 readers) --\n\n");
-    let rows = mixed_axis(f);
-    for r in &rows {
-        out.push_str(&format!(
-            "{} ({}, batch {}, {}): write {:.0} ev/s (batch p99 {:.3} ms), \
-             read {:.0} q/s p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            r.engine,
-            r.mode,
-            r.batch,
-            if r.batched { "group commit" } else { "per event" },
-            r.write_eps,
-            r.write_p99_ms,
-            r.read_qps,
-            r.read_p50_ms,
-            r.read_p95_ms,
-            r.read_p99_ms,
-        ));
-    }
-    let eps = |engine: &str, mode: &str, batch: usize| {
-        rows.iter()
-            .find(|r| r.engine.contains(engine) && r.mode == mode && r.batch == batch)
-            .map(|r| r.write_eps)
-            .unwrap_or(0.0)
-    };
-    let p99 = rows
-        .iter()
-        .find(|r| r.engine.contains("bitgraph") && r.batch == 64)
-        .map_or(0.0, |r| r.read_p99_ms);
-    out.push_str(&format!(
-        "\nmixed headline: arbordb group commit x256 = {:.1}x events/s over per-event; \
-         bitgraph reader p99 under burst: {p99:.3} ms\n",
-        eps("arbordb", "latched", 256) / eps("arbordb", "latched", 1).max(f64::MIN_POSITIVE),
-    ));
-    out
-}
-
-/// One measurement on the executor axis of [`serving`]: arbordb's
-/// row-at-a-time reference interpreter vs the vectorized operator tree
-/// (DESIGN.md §4g).
-pub struct ExecRow {
-    /// Engine name (includes the shard count when sharded).
-    pub engine: &'static str,
-    /// Hash-partition count (0 = the monolithic engine).
-    pub shards: usize,
-    /// Executor this row measured: `"tuple"` / `"vectorized"` for arbordb,
-    /// `"native"` for the bitgraph baseline (no declarative layer).
-    pub exec: &'static str,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the executor axis: the monolithic arbordb engine plus its 2-
-/// and 4-shard compositions, Tuple then Vectorized over the same
-/// single-reader stream, closing with the monolithic bitgraph engine as a
-/// `"native"` baseline row (no declarative layer, so no mode pair) — the
-/// declarative-vs-native serve-mix gap read straight off the artifact.
-/// Asserts the mode flip never changes the serving digest; one unmeasured
-/// warmup pass per engine absorbs cold-cache first-touches. arbordb rows
-/// come in consecutive (tuple, vectorized) pairs.
-pub fn exec_axis(f: &Fixture) -> Vec<ExecRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ExecMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let mut sharded = Vec::new();
-    for shards in [2usize, 4] {
-        let (arbor, _bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("exec-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        sharded.push((shards, arbor));
-    }
-    let mut targets: Vec<(usize, &dyn MicroblogEngine)> = vec![(0, &f.arbor)];
-    for (shards, engine) in &sharded {
-        targets.push((*shards, engine));
-    }
-    let mut rows = Vec::new();
-    for (shards, engine) in targets {
-        serve(engine, &config).expect("warmup");
-        let mut digest = None;
-        for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-            assert!(engine.set_exec_mode(mode), "arbordb engine lost its exec-mode toggle");
-            let report = serve(engine, &config).expect("serve");
-            let d = report.digest();
-            assert_eq!(
-                *digest.get_or_insert(d),
-                d,
-                "{} answers changed with exec mode {}",
-                engine.name(),
-                mode.as_str()
-            );
-            rows.push(ExecRow {
-                engine: report.engine,
-                shards,
-                exec: mode.as_str(),
-                qps: report.qps,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-            });
-        }
-        engine.set_exec_mode(ExecMode::Vectorized);
-    }
-    // Native baseline: the same stream on the monolithic bitgraph engine,
-    // which refuses the exec-mode toggle (no declarative layer).
-    let bit = &f.bit as &dyn MicroblogEngine;
-    assert!(!bit.set_exec_mode(ExecMode::Tuple), "bitgraph must refuse the exec toggle");
-    serve(bit, &config).expect("warmup");
-    let report = serve(bit, &config).expect("serve");
-    rows.push(ExecRow {
-        engine: report.engine,
-        shards: 0,
-        exec: "native",
-        qps: report.qps,
-        p50_ms: report.p50_ms,
-        p95_ms: report.p95_ms,
-        p99_ms: report.p99_ms,
-    });
-    rows
-}
-
-/// One measurement on the scatter-execution axis of [`serving`].
-pub struct ScatterRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Scatter execution mode this row measured.
-    pub mode: micrograph_core::ScatterMode,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the scatter-mode axis: both sharded backends at 1/2/4 shards,
-/// Sequential then Parallel over the same stream, single reader, after one
-/// unmeasured warmup pass per engine that absorbs cold-cache first-touches.
-/// Asserts the mode flip never changes the serving digest. Rows come out
-/// in (shards, backend, mode) order — consecutive pairs are (seq, par).
-pub fn scatter_axis(f: &Fixture) -> Vec<ScatterRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ScatterMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (sharded_arbor, sharded_bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("scatter-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        for engine in [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit] {
-            serve(engine, &config).expect("warmup");
-            let mut digest = None;
-            for mode in [ScatterMode::Sequential, ScatterMode::Parallel] {
-                assert!(engine.set_scatter_mode(mode));
-                let report = serve(engine, &config).expect("serve");
-                let d = report.digest();
-                assert_eq!(
-                    *digest.get_or_insert(d),
-                    d,
-                    "{} answers changed with scatter mode",
-                    engine.name()
-                );
-                rows.push(ScatterRow {
-                    engine: report.engine,
-                    shards,
-                    mode,
-                    qps: report.qps,
-                    p50_ms: report.p50_ms,
-                    p95_ms: report.p95_ms,
-                    p99_ms: report.p99_ms,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// The sharded backend gap (DESIGN.md §4h) read off [`scatter_axis`]:
-/// `(arbordb qps, bitgraph qps)` of the 4-shard parallel rows.
-fn gap_headline(rows: &[ScatterRow]) -> (f64, f64) {
-    let qps = |backend: &str| {
-        rows.iter()
-            .find(|r| {
-                r.shards == 4
-                    && r.engine.contains(backend)
-                    && matches!(r.mode, micrograph_core::ScatterMode::Parallel)
-            })
-            .map(|r| r.qps)
-            .unwrap_or(0.0)
-    };
-    (qps("arbordb"), qps("bitgraph"))
-}
-
-/// One measurement on the replication axis ([`replica_axis`]): the serve
-/// mix over a 2-shard composition with R replicas behind each shard slot
-/// (DESIGN.md §4i), 4 reader threads.
-pub struct ReplicaRow {
-    /// Engine name (includes shard count and replica factor).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Replicas behind each shard slot.
-    pub replicas: usize,
-    /// Reader threads used.
-    pub threads: usize,
-    /// `"healthy"` for an all-replicas-up run, `"degraded"` for the same
-    /// stream with one replica of every shard killed mid-axis.
-    pub condition: &'static str,
-    /// Aggregate throughput (requests/s), errors included.
-    pub qps: f64,
-    /// Useful throughput: full-coverage, non-error answers per second.
-    /// Equals `qps` while healthy; the number replication exists to
-    /// protect — at R = 1 a dead replica drives it to zero, at R ≥ 2 the
-    /// failover ladder keeps it at the healthy level.
-    pub goodput: f64,
-    /// Requests that errored (0 on every healthy run).
-    pub errors: u64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-    /// Failover hops the run recorded.
-    pub failovers: u64,
-    /// Reads the run routed to a non-zero primary replica.
-    pub replica_reads: u64,
-}
-
-/// Measures the replication axis: both backends at 2 shards × R ∈
-/// {1, 2, 3}, 4 reader threads over the same stream, healthy and then
-/// degraded (replica 0 of every shard permanently killed, same stream
-/// replayed). The healthy rows record whatever read scale-out the host
-/// offers — spreading reads across R engine instances needs spare cores
-/// to turn into qps, so on a single-core runner they stay flat. The
-/// degraded rows are the axis's headline and are host-independent: at
-/// R = 1 the dead replica drives goodput to zero (every request errors,
-/// fast-failing on the torn group), while at R ≥ 2 the failover ladder
-/// keeps goodput at the healthy level with byte-identical answers.
-/// Asserts no R (and, for R ≥ 2, no replica loss) moves the serving
-/// digest, and that R = 1 replica loss errors every request.
-pub fn replica_axis(f: &Fixture) -> Vec<ReplicaRow> {
-    use micrograph_core::ingest::build_replicated_engines;
-    let users = f.dataset.users.len() as u64;
-    let threads = 4usize;
-    let requests = 512usize;
-    let config =
-        ServeConfig { threads, requests, seed: 42, users, vocab: 16, ..Default::default() };
-    let shards = 2usize;
-    let mut rows = Vec::new();
-    let mut digests: [Option<u64>; 2] = [None, None];
-    let goodput = |report: &micrograph_core::serve::ServeReport| {
-        report.qps * (requests as u64 - report.errors - report.degraded) as f64 / requests as f64
-    };
-    for replicas in [1usize, 2, 3] {
-        let (sharded_arbor, sharded_bit) = build_replicated_engines(
-            &f.dataset,
-            &f.dir.join(format!("replica-axis-{replicas}")),
-            shards,
-            replicas,
-        )
-        .expect("build replicated engines");
-        for (which, engine) in
-            [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit].into_iter().enumerate()
-        {
-            serve(engine, &config).expect("warmup");
-            let before = engine.fault_stats();
-            let report = serve(engine, &config).expect("serve");
-            let spent = engine.fault_stats().since(&before);
-            let d = report.digest();
-            assert_eq!(
-                *digests[which].get_or_insert(d),
-                d,
-                "{} answers changed with R={replicas}",
-                engine.name()
-            );
-            rows.push(ReplicaRow {
-                engine: report.engine,
-                shards,
-                replicas,
-                threads,
-                condition: "healthy",
-                qps: report.qps,
-                goodput: goodput(&report),
-                errors: report.errors,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-                failovers: spent.failovers,
-                replica_reads: spent.replica_reads,
-            });
-        }
-        // Kill replica 0 of every shard and replay the stream. With a
-        // spare replica the failover ladder must absorb the loss
-        // byte-identically; with R = 1 the whole stream must fail fast
-        // (goodput 0) — never a stale or partial answer in Strict mode.
-        for (which, (concrete, engine)) in [
-            (&sharded_arbor, &sharded_arbor as &dyn MicroblogEngine),
-            (&sharded_bit, &sharded_bit),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            for shard in 0..shards {
-                concrete.kill_replica(shard, 0);
-            }
-            let before = engine.fault_stats();
-            let report = serve(engine, &config).expect("serve degraded");
-            let spent = engine.fault_stats().since(&before);
-            if replicas == 1 {
-                assert_eq!(
-                    report.errors, requests as u64,
-                    "{}: a dead sole replica must fail every request",
-                    engine.name()
-                );
-            } else {
-                assert_eq!(
-                    Some(report.digest()),
-                    digests[which],
-                    "{} answers changed after losing a replica of every shard",
-                    engine.name()
-                );
-                assert!(
-                    spent.failovers > 0,
-                    "{}: surviving replica loss must have hopped",
-                    engine.name()
-                );
-            }
-            rows.push(ReplicaRow {
-                engine: report.engine,
-                shards,
-                replicas,
-                threads,
-                condition: "degraded",
-                qps: report.qps,
-                goodput: goodput(&report),
-                errors: report.errors,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-                failovers: spent.failovers,
-                replica_reads: spent.replica_reads,
-            });
-        }
-    }
-    rows
-}
-
-/// Writes one `"key": [...]` array of `BENCH_serving.json`: a row object
-/// per line, its fields rendered by `fields` (everything between the
-/// braces), comma-separated, and the closing `],`.
-fn push_rows<R>(out: &mut String, key: &str, rows: &[R], fields: impl Fn(&R) -> String) {
-    out.push_str(&format!("  \"{key}\": [\n"));
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!("    {{{}}}{comma}\n", fields(r)));
-    }
-    out.push_str("  ],\n");
-}
-
-/// Renders the scatter-mode axis as the `BENCH_serving.json` artifact:
-/// sequential vs parallel throughput and latency percentiles per backend
-/// and shard count, one reader thread.
-pub fn serving_json(f: &Fixture, scale: &str) -> String {
-    let rows = scatter_axis(f);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"serving_scatter_modes\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str("  \"requests\": 128,\n");
-    push_rows(&mut out, "rows", &rows, |r| {
-        format!(
-            "\"engine\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}",
-            r.engine,
-            r.shards,
-            r.mode.label(),
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        )
-    });
-    // Executor axis (DESIGN.md §4g): tuple vs vectorized on arbordb,
-    // monolithic (shards = 0) and sharded. Digests asserted equal inside
-    // exec_axis — only throughput/latency may differ between modes.
-    let exec_rows = exec_axis(f);
-    push_rows(&mut out, "exec_rows", &exec_rows, |r| {
-        format!(
-            "\"engine\": \"{}\", \"shards\": {}, \"exec\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}",
-            r.engine,
-            r.shards,
-            r.exec,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        )
-    });
-    // Replication axis (DESIGN.md §4i): qps and goodput vs R at 2 shards
-    // / 4 reader threads, healthy plus the degraded (replica 0 of every
-    // shard killed) replay at every R. Digests asserted equal inside
-    // replica_axis.
-    let replica_rows = replica_axis(f);
-    push_rows(&mut out, "replica_rows", &replica_rows, |r| {
-        format!(
-            "\"engine\": \"{}\", \"shards\": {}, \"replicas\": {}, \"threads\": {}, \
-             \"condition\": \"{}\", \"qps\": {:.1}, \"goodput\": {:.1}, \"errors\": {}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"failovers\": {}, \
-             \"replica_reads\": {}",
-            r.engine,
-            r.shards,
-            r.replicas,
-            r.threads,
-            r.condition,
-            r.qps,
-            r.goodput,
-            r.errors,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.failovers,
-            r.replica_reads,
-        )
-    });
-    // The replication headline: scatter goodput from R = 1 to R = 2 per
-    // backend with one replica of every shard permanently dead (2 shards,
-    // 4 readers) — the comparison replication exists for, and one that
-    // holds on any host: R = 1 fails the whole stream (goodput 0) while
-    // R = 2 serves it byte-identically. Healthy qps at both R is recorded
-    // alongside; turning the replica spread into healthy-read scale-out
-    // additionally needs spare cores on the measurement host.
-    let replica_val = |engine_contains: &str, replicas: usize, condition: &str| {
-        replica_rows
-            .iter()
-            .find(|r| {
-                r.condition == condition
-                    && r.replicas == replicas
-                    && r.engine.contains(engine_contains)
-            })
-            .map(|r| if condition == "healthy" { r.qps } else { r.goodput })
-            .unwrap_or(0.0)
-    };
-    let (a1, a2) = (replica_val("arbordb", 1, "healthy"), replica_val("arbordb", 2, "healthy"));
-    let (b1, b2) = (replica_val("bitgraph", 1, "healthy"), replica_val("bitgraph", 2, "healthy"));
-    let (ad1, ad2) =
-        (replica_val("arbordb", 1, "degraded"), replica_val("arbordb", 2, "degraded"));
-    let (bd1, bd2) =
-        (replica_val("bitgraph", 1, "degraded"), replica_val("bitgraph", 2, "degraded"));
-    out.push_str(&format!(
-        "  \"replica_headline\": {{\"arbordb_r1_qps\": {a1:.1}, \"arbordb_r2_qps\": {a2:.1}, \
-         \"bitgraph_r1_qps\": {b1:.1}, \"bitgraph_r2_qps\": {b2:.1}, \
-         \"arbordb_replica_dead_r1_goodput\": {ad1:.1}, \
-         \"arbordb_replica_dead_r2_goodput\": {ad2:.1}, \
-         \"bitgraph_replica_dead_r1_goodput\": {bd1:.1}, \
-         \"bitgraph_replica_dead_r2_goodput\": {bd2:.1}}},\n",
-    ));
-    // The sharded backend gap: parallel arbordb throughput against parallel
-    // bitgraph, both at 4 shards (the scatter rows above).
-    let (arbor_qps, bit_qps) = gap_headline(&rows);
-    out.push_str(&format!(
-        "  \"gap_headline\": {{\"arbordb_parallel_qps\": {arbor_qps:.1}, \
-         \"bitgraph_parallel_qps\": {bit_qps:.1}, \"bitgraph_over_arbordb\": {:.3}}},\n",
-        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
-    ));
-    // Mixed read/write axis (DESIGN.md §4j): a write burst drained by one
-    // writer (group commit vs per-event loop) while two readers serve the
-    // query mix. Quiesced digests asserted equal inside mixed_axis — batch
-    // size and batching are pure performance toggles.
-    let mixed_rows = mixed_axis(f);
-    push_rows(&mut out, "mixed_rows", &mixed_rows, |r| {
-        format!(
-            "\"engine\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"batched\": {}, \
-             \"write_eps\": {:.1}, \"write_p99_ms\": {:.4}, \"read_qps\": {:.1}, \
-             \"read_p50_ms\": {:.4}, \"read_p95_ms\": {:.4}, \"read_p99_ms\": {:.4}",
-            r.engine,
-            r.mode,
-            r.batch,
-            r.batched,
-            r.write_eps,
-            r.write_p99_ms,
-            r.read_qps,
-            r.read_p50_ms,
-            r.read_p95_ms,
-            r.read_p99_ms,
-        )
-    });
-    // The mixed headline: group-commit ingest scaling on arbordb's WAL and
-    // the reader tail under the burst on bitgraph.
-    let mixed_val = |engine: &str, mode: &str, batch: usize, read: bool| {
-        mixed_rows
-            .iter()
-            .find(|r| r.engine.contains(engine) && r.mode == mode && r.batch == batch)
-            .map(|r| if read { r.read_p99_ms } else { r.write_eps })
-            .unwrap_or(0.0)
-    };
-    let (a1, a256) =
-        (mixed_val("arbordb", "latched", 1, false), mixed_val("arbordb", "latched", 256, false));
-    let (b1, b256) = (
-        mixed_val("bitgraph", "snapshot", 1, false),
-        mixed_val("bitgraph", "snapshot", 256, false),
-    );
-    out.push_str(&format!(
-        "  \"mixed_headline\": {{\"arbordb_perevent_eps\": {a1:.1}, \
-         \"arbordb_batch256_eps\": {a256:.1}, \"arbordb_group_commit_speedup\": {:.3}, \
-         \"bitgraph_perevent_eps\": {b1:.1}, \"bitgraph_batch256_eps\": {b256:.1}, \
-         \"bitgraph_snapshot_read_p99_ms\": {:.4}}}\n",
-        a256 / a1.max(f64::MIN_POSITIVE),
-        mixed_val("bitgraph", "snapshot", 64, true),
-    ));
-    out.push_str("}\n");
-    out
 }
 
 /// The chaos-serving experiment: deterministic fault injection against the

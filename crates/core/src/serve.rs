@@ -474,255 +474,6 @@ pub fn serve(engine: &dyn MicroblogEngine, config: &ServeConfig) -> Result<Serve
     })
 }
 
-/// Configuration for a mixed read/write serving run ([`serve_mixed`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MixedConfig {
-    /// Concurrent reader threads (≥ 1).
-    pub threads: usize,
-    /// Read requests in the stream.
-    pub requests: usize,
-    /// Stream seed.
-    pub seed: u64,
-    /// Subject-user id range (`1..=users`; match the dataset).
-    pub users: u64,
-    /// Hashtag vocabulary size for tag subjects.
-    pub vocab: u64,
-    /// Events per write batch (≥ 1).
-    pub batch: usize,
-    /// `true`: batches go through [`MicroblogEngine::apply_event_batch`]
-    /// (group commit, DESIGN.md §4j); `false`: the per-event loop — the
-    /// semantic oracle the batch-flip tests compare against.
-    pub batched: bool,
-}
-
-impl Default for MixedConfig {
-    fn default() -> Self {
-        MixedConfig {
-            threads: 4,
-            requests: 256,
-            seed: 42,
-            users: 100,
-            vocab: 16,
-            batch: 64,
-            batched: true,
-        }
-    }
-}
-
-/// Writer-side summary of a mixed run.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteSummary {
-    /// Events applied.
-    pub events: usize,
-    /// Events per batch.
-    pub batch: usize,
-    /// Whether batches used the group-commit path.
-    pub batched: bool,
-    /// Batches applied.
-    pub batches: u64,
-    /// Writer wall-clock time (ms).
-    pub wall_ms: f64,
-    /// Ingest throughput (events per second).
-    pub events_per_s: f64,
-    /// Median per-batch latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile per-batch latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile per-batch latency (ms).
-    pub p99_ms: f64,
-    /// Slowest batch (ms).
-    pub max_ms: f64,
-}
-
-/// Reader-side summary of a mixed run. Individual rendered results during
-/// the write burst are timing-dependent (each request sees whatever commit
-/// prefix is published when it runs), so only latencies and error counts
-/// are reported here — byte-level answers are checked post-quiesce.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadSummary {
-    /// Requests served.
-    pub requests: usize,
-    /// Reader wall-clock time (ms).
-    pub wall_ms: f64,
-    /// Aggregate read throughput (requests per second).
-    pub qps: f64,
-    /// Median latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Requests that errored mid-burst (e.g. a subject user that had not
-    /// been ingested yet) — expected to be timing-dependent.
-    pub errors: u64,
-}
-
-/// The result of one mixed read/write run.
-#[derive(Debug, Clone)]
-pub struct MixedReport {
-    /// Engine name.
-    pub engine: &'static str,
-    /// Reader threads used.
-    pub threads: usize,
-    /// Reader-side latencies during the write burst.
-    pub reader: ReadSummary,
-    /// Writer-side batch latencies and ingest throughput.
-    pub writer: WriteSummary,
-    /// A deterministic single-threaded serving run executed **after** the
-    /// writer drained every event — the byte-comparable artifact. Its
-    /// digest must be invariant under every performance toggle (threads,
-    /// batch size, batched flag).
-    pub quiesced: ServeReport,
-}
-
-impl MixedReport {
-    /// Digest of the post-quiesce run — the toggle-invariance fingerprint.
-    pub fn digest(&self) -> u64 {
-        self.quiesced.digest()
-    }
-
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
-        let w = &self.writer;
-        let r = &self.reader;
-        let mut out = format!(
-            "== mixed serving: {} — {} reads / {} thread(s), {} events @ batch {} ({}) ==\n",
-            self.engine,
-            r.requests,
-            self.threads,
-            w.events,
-            w.batch,
-            if w.batched { "group commit" } else { "per event" },
-        );
-        out.push_str(&format!(
-            "reads : {:>8.0} req/s   p50 {:>8.3} ms   p95 {:>8.3} ms   p99 {:>8.3} ms   errors {}\n",
-            r.qps, r.p50_ms, r.p95_ms, r.p99_ms, r.errors
-        ));
-        out.push_str(&format!(
-            "writes: {:>8.0} ev/s    p50 {:>8.3} ms   p95 {:>8.3} ms   p99 {:>8.3} ms   batches {}\n",
-            w.events_per_s, w.p50_ms, w.p95_ms, w.p99_ms, w.batches
-        ));
-        out.push_str(&format!("quiesced digest: {:016x}\n", self.digest()));
-        out
-    }
-}
-
-/// Drives a mixed read/write workload: one writer thread drains `events`
-/// in `config.batch`-sized chunks (via group commit or the per-event loop)
-/// while `config.threads` readers serve the deterministic Q1–Q6 request
-/// stream against the same engine. After the writer drains and the readers
-/// finish, a single-threaded [`serve`] pass over the quiesced engine
-/// produces the byte-comparable answers (`MixedReport::quiesced`) — the
-/// artifact every performance toggle must leave untouched.
-///
-/// Mid-burst rendered results are inherently timing-dependent and are only
-/// summarized as latencies/error counts; a writer-side event failure aborts
-/// the run with that error.
-///
-/// # Panics
-/// Panics when `config.threads` or `config.batch` is zero, or a thread
-/// panics.
-pub fn serve_mixed(
-    engine: &dyn MicroblogEngine,
-    events: &[micrograph_datagen::UpdateEvent],
-    config: &MixedConfig,
-) -> Result<MixedReport> {
-    assert!(config.threads > 0, "mixed serving needs at least one reader thread");
-    assert!(config.batch > 0, "write batches need at least one event");
-    let requests = request_stream(config.seed, config.requests, config.users, config.vocab);
-    let cursor = AtomicUsize::new(0);
-    let (write_out, mut all_ms, errors, read_wall_ms) = crossbeam::thread::scope(|s| {
-        let writer = s.spawn(|_| -> Result<(Vec<f64>, f64)> {
-            let wall = Timer::start();
-            let mut lat = Vec::with_capacity(events.len() / config.batch + 1);
-            for chunk in events.chunks(config.batch) {
-                let t = Timer::start();
-                if config.batched {
-                    engine.apply_event_batch(chunk)?;
-                } else {
-                    for event in chunk {
-                        engine.apply_event(event)?;
-                    }
-                }
-                lat.push(t.elapsed_ms());
-            }
-            Ok((lat, wall.elapsed_ms()))
-        });
-        let read_wall = Timer::start();
-        let readers: Vec<_> = (0..config.threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let requests = &requests;
-                s.spawn(move |_| {
-                    let mut ms = Vec::new();
-                    let mut errors = 0u64;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = requests.get(i) else { break };
-                        let t = Timer::start();
-                        errors += execute_rendered(engine, req).is_err() as u64;
-                        ms.push(t.elapsed_ms());
-                    }
-                    (ms, errors)
-                })
-            })
-            .collect();
-        let mut all_ms = Vec::with_capacity(requests.len());
-        let mut errors = 0u64;
-        for h in readers {
-            let (ms, e) = h.join().expect("reader thread panicked");
-            all_ms.extend(ms);
-            errors += e;
-        }
-        let read_wall_ms = read_wall.elapsed_ms();
-        let write_out = writer.join().expect("writer thread panicked");
-        (write_out, all_ms, errors, read_wall_ms)
-    })
-    .expect("mixed serving scope");
-    let (batch_ms, write_wall_ms) = write_out?;
-    all_ms.sort_by(f64::total_cmp);
-    let writer = WriteSummary {
-        events: events.len(),
-        batch: config.batch,
-        batched: config.batched,
-        batches: batch_ms.len() as u64,
-        wall_ms: write_wall_ms,
-        events_per_s: events.len() as f64 / (write_wall_ms / 1_000.0).max(1e-9),
-        p50_ms: percentile(&batch_ms, 50.0),
-        p95_ms: percentile(&batch_ms, 95.0),
-        p99_ms: percentile(&batch_ms, 99.0),
-        max_ms: batch_ms.iter().copied().fold(0.0, f64::max),
-    };
-    let reader = ReadSummary {
-        requests: requests.len(),
-        wall_ms: read_wall_ms,
-        qps: requests.len() as f64 / (read_wall_ms / 1_000.0).max(1e-9),
-        p50_ms: percentile(&all_ms, 50.0),
-        p95_ms: percentile(&all_ms, 95.0),
-        p99_ms: percentile(&all_ms, 99.0),
-        errors,
-    };
-    let quiesced = serve(
-        engine,
-        &ServeConfig {
-            threads: 1,
-            requests: config.requests,
-            seed: config.seed,
-            users: config.users,
-            vocab: config.vocab,
-            deadline_us: None,
-            class_deadlines: ClassDeadlines::default(),
-        },
-    )?;
-    Ok(MixedReport {
-        engine: engine.name(),
-        threads: config.threads,
-        reader,
-        writer,
-        quiesced,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,12 +13,14 @@
 //!   the chaos gate fires before mutation, so a retried batch reruns
 //!   against pre-batch state.
 
+use arbordb::db::DbConfig;
+use arbordb::import::ImportOptions;
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::ingest::{
-    build_chaos_sharded_engines, build_engines, build_sharded_engines,
+    build_chaos_sharded_engines, build_engines, build_sharded_engines, ingest_arbor,
 };
 use micrograph_core::serve::{serve, ServeConfig};
-use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy};
+use micrograph_core::{ArborEngine, DegradationMode, FaultPlan, RetryPolicy};
 use micrograph_datagen::{generate, Dataset, GenConfig, StreamGen, StreamMix, UpdateEvent};
 use proptest::prelude::*;
 
@@ -70,19 +72,29 @@ fn feed_looped(e: &dyn MicroblogEngine, events: &[UpdateEvent]) {
 
 #[test]
 fn batch_flip_is_pure_performance_across_the_matrix() {
-    // One looped copy and one batched copy of every engine shape; all
-    // eight digests (2 feeds x [2 monoliths + 2-shard x 2 backends]) must
-    // collapse to one.
+    // One looped copy and two batched copies (batch 48, and batch 256,
+    // which spans most of the stream in one group commit) of every engine
+    // shape; all fifteen digests (3 feeds x [2 monoliths + an on-disk
+    // arbordb monolith, whose group commit really writes its buffered WAL
+    // + 2-shard x 2 backends]) must collapse to one.
     let (ds, g) = dataset(502, "batch");
     let files = ds.write_csv(&g.0.join("csv")).unwrap();
     let events = stream(&ds, 502, 300);
     let mut digest = None;
-    for (tag, batch) in [("looped", 0usize), ("batched", 48)] {
+    for (tag, batch) in [("looped", 0usize), ("batched-48", 48), ("batched-256", 256)] {
         let (arbor, bit, _) = build_engines(&files).unwrap();
+        let (db, _) = ingest_arbor(
+            &files,
+            Some(&g.0.join(format!("arbordb-{tag}"))),
+            DbConfig::default(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
+        let on_disk = ArborEngine::new(db);
         let (sharded_arbor, sharded_bit) =
             build_sharded_engines(&ds, &g.0.join(format!("shards-{tag}")), 2).unwrap();
         for engine in
-            [&arbor as &dyn MicroblogEngine, &bit, &sharded_arbor, &sharded_bit]
+            [&arbor as &dyn MicroblogEngine, &bit, &on_disk, &sharded_arbor, &sharded_bit]
         {
             if batch == 0 {
                 feed_looped(engine, &events);

@@ -14,7 +14,10 @@
 //!   `t` = the shard count regardless of R, and a replica-healed shard
 //!   counts as answered (no spurious partial tags once failover succeeds);
 //! * **R = 1 transparency** — the replicated constructor at R = 1 is the
-//!   plain sharded engine: same label, same answers, same counters.
+//!   plain sharded engine: same label, same answers, same counters;
+//! * **replica loss on real engines** — with replica 0 of every shard
+//!   killed, R = 2 serves the healthy digest through failover while R = 1
+//!   fails every request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -380,6 +383,46 @@ fn r1_replicated_engine_is_the_plain_sharded_engine() {
     );
     assert_eq!(repl.replicas, Some(2), "the serve report must carry the replica axis");
     assert!(repl.render().contains("R=2"), "render must surface R: {}", repl.render());
+}
+
+#[test]
+fn losing_a_replica_of_every_shard_fails_over_at_r2_and_fails_fast_at_r1() {
+    // Real engines, Strict mode: kill replica 0 of every shard and replay
+    // the healthy stream. A spare replica must absorb the loss
+    // byte-identically through failover hops; a dead sole replica must
+    // fail every request rather than serve a stale or partial answer.
+    let (ds, g) = dataset(74, "loss");
+    let shards = 2usize;
+    let config = serve_config(2);
+    for replicas in [1usize, 2] {
+        let (arbor, bit) =
+            build_replicated_engines(&ds, &g.0.join(format!("r{replicas}")), shards, replicas)
+                .unwrap();
+        for engine in [&arbor, &bit] {
+            let healthy = serve(engine, &config).unwrap();
+            assert_eq!(healthy.errors, 0, "{}: healthy run errored", engine.name());
+            for shard in 0..shards {
+                engine.kill_replica(shard, 0);
+            }
+            let lost = serve(engine, &config).unwrap();
+            if replicas == 1 {
+                assert_eq!(
+                    lost.errors, config.requests as u64,
+                    "{}: a dead sole replica must fail every request",
+                    engine.name()
+                );
+            } else {
+                assert_eq!(lost.errors, 0, "{}: failover must heal every request", engine.name());
+                assert_eq!(
+                    lost.digest(),
+                    healthy.digest(),
+                    "{}: answers changed after losing a replica of every shard",
+                    engine.name()
+                );
+                assert!(lost.faults.failovers > 0, "{}: loss must have hopped", engine.name());
+            }
+        }
+    }
 }
 
 #[test]
