@@ -111,8 +111,8 @@ pub fn full_sort_top_n<K: Ord>(mut items: Vec<Counted<K>>, limit: usize) -> Vec<
 /// *truncated* partials is exact only when every key's full count lives in
 /// a single partial (disjoint key sets, e.g. Q5's mentioners, whose tweets
 /// are all on the poster's shard). When counts for one key are split across
-/// partials (Q3/Q4), callers must feed the *untruncated* per-shard count
-/// lists instead.
+/// partials (Q3/Q4), the sharded layer sums the *untruncated* per-shard
+/// count lists before it cuts to the top n.
 pub fn merge_top_n<K: Ord>(parts: Vec<Vec<Counted<K>>>, limit: usize) -> Vec<Counted<K>> {
     let mut totals: std::collections::BTreeMap<K, u64> = std::collections::BTreeMap::new();
     for part in parts {
@@ -127,16 +127,16 @@ pub fn merge_top_n<K: Ord>(parts: Vec<Vec<Counted<K>>>, limit: usize) -> Vec<Cou
     top.into_sorted_vec()
 }
 
-/// A shard-local top-k partial for threshold-algorithm (TA) merging: the
-/// `k` best local entries plus an upper `bound` on the local count of any
-/// key *not* in `top`.
+/// A shard-local top-k partial: the `k` best local entries plus an upper
+/// `bound` on the local count of any key *not* in `top`.
 ///
 /// `bound == 0` means the partial is exhaustive — `top` holds every key
 /// this shard counted, so an unseen key has local count 0. Otherwise
 /// `bound` is the k-th retained count: the local list is count-desc /
 /// ascending-key ordered, so every truncated-away entry counts at most
-/// that much. The TA merge in the sharded query layer sums these bounds to
-/// decide whether an unseen key could still enter the global top-n.
+/// that much. The sharded query layer merges these partials only where
+/// keys are disjoint across shards (Q5), so one round is exact and it
+/// never reads the bound.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopKPartial<K> {
     /// The best `k` local entries, count descending, ties ascending key.
@@ -261,8 +261,8 @@ mod tests {
 
     #[test]
     fn topk_partial_with_k_larger_than_candidates_is_exhaustive() {
-        // Satellite-6 edge: k exceeding the candidate set must yield
-        // bound 0 (nothing was cut), so a TA merge can stop immediately.
+        // k exceeding the candidate set must yield bound 0 (nothing was
+        // cut): the partial is exhaustive.
         let p = topk_partial(counted(&[(3, 5), (1, 2)]), 10);
         assert_eq!(p.top, counted(&[(3, 5), (1, 2)]));
         assert_eq!(p.bound, 0, "nothing truncated => exhaustive partial");
@@ -273,10 +273,9 @@ mod tests {
 
     #[test]
     fn topk_partial_bound_is_kth_count_under_equal_count_boundary() {
-        // Satellite-6 edge: equal-count candidates straddle the cut. The
-        // bound must equal the k-th retained count (not the first cut
-        // count minus one), so a tied unseen key is still considered live
-        // by the TA merge — protecting the ascending-key tie order.
+        // Equal-count candidates straddle the cut. The bound must equal
+        // the k-th retained count (not the first cut count minus one), so
+        // it still covers a tied cut key.
         let p = topk_partial(counted(&[(9, 4), (3, 4), (5, 4), (7, 4)]), 2);
         // Ties order ascending by key: 3, 5 retained; 7, 9 cut.
         assert_eq!(p.top, counted(&[(3, 4), (5, 4)]));

@@ -129,16 +129,10 @@ const K_CO_TAG: &str =
      WHERE h.tag <> $tag \
      RETURN h.tag, count(*) AS c ORDER BY h.tag ASC";
 
-// Top-n pushdown kernels (DESIGN.md §4f) are answered exhaustively here
-// (bound 0, DESIGN.md §4h): the grouped count costs the declarative engine
-// the same at any LIMIT, partials ship in-process, and a truncated answer
-// forces the TA merge into counts_for rounds that re-run the whole
-// grouping. Because no partial is ever truncated, the TA merge never
-// reaches its exact-count phase on this backend, and the candidate probes
-// keep the trait defaults (full kernel filtered to the keys). Q5's
-// pushdown reuses the monolithic Q5_1/Q5_2 texts, which already carry a
-// LIMIT (per-shard candidate sets are disjoint, so its merge is
-// single-round regardless of the bound).
+// Q3/Q4 shard fan-outs sum the full count kernels above (DESIGN.md §4f).
+// Q5's pushdown kernel reuses the monolithic Q5_1/Q5_2 texts, which
+// already carry a LIMIT (per-shard candidate sets are disjoint, so its
+// merge is single-round regardless of the bound).
 
 /// Lazily prepared plans for the kernel texts a shard fan-out runs hottest:
 /// each shard executes the same fixed text per scatter leg, so the adapter
@@ -635,20 +629,7 @@ impl MicroblogEngine for ArborEngine {
             .collect())
     }
 
-    // ---- top-n pushdown kernels: LIMIT pushed into the sort operator -------
-
-    fn co_mention_topn_kernel(&self, uid: i64, _k: usize) -> Result<TopKPartial<i64>> {
-        // Exhaustive partial (bound 0): the grouped count costs the same at
-        // any LIMIT, the partial ships in-process, and a truncated answer
-        // would force the TA merge to re-run the grouping as a counts_for
-        // round (and again at doubled k) — recomputation costs far more
-        // than the unbounded list ever could.
-        Ok(crate::engine::pushdown_partial(self.co_mention_counts_kernel(uid)?, &[], usize::MAX))
-    }
-
-    fn co_tag_topn_kernel(&self, tag: &str, _k: usize) -> Result<TopKPartial<String>> {
-        Ok(crate::engine::pushdown_partial(self.co_tag_counts_kernel(tag)?, &[], usize::MAX))
-    }
+    // ---- Q5 pushdown kernel: LIMIT pushed into the sort operator ----------
 
     fn influence_topn_kernel(&self, uid: i64, current: bool, k: usize) -> Result<TopKPartial<i64>> {
         // Q5's monolithic texts already carry the LIMIT; ask for k+1 rows
@@ -674,29 +655,6 @@ impl MicroblogEngine for ArborEngine {
         let bound = if top.len() > k { top[k].count } else { 0 };
         top.truncate(k);
         Ok(TopKPartial { top, bound })
-    }
-
-    fn count_followees_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        _k: usize,
-    ) -> Result<TopKPartial<i64>> {
-        // Exhaustive partial (bound 0): the grouped count is the same work
-        // at any k, the partial ships in-process, and a truncated answer
-        // would force the TA merge to re-run this whole query as a
-        // counts_for round (and again at doubled k) — recomputation costs
-        // far more than the unbounded list ever could.
-        Ok(crate::engine::pushdown_partial(self.count_followees_kernel(uids)?, exclude, usize::MAX))
-    }
-
-    fn count_followers_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        _k: usize,
-    ) -> Result<TopKPartial<i64>> {
-        Ok(crate::engine::pushdown_partial(self.count_followers_kernel(uids)?, exclude, usize::MAX))
     }
 
     fn ensure_user(&self, uid: i64) -> Result<()> {

@@ -313,21 +313,11 @@ impl BitEngine {
         Ok(out)
     }
 
-    /// Maps an oid-keyed count map to [`Counted`] uid entries, dropping
-    /// every uid in `exclude` (ascending-sorted) — the pre-truncation
-    /// filter the pushdown kernels need.
-    fn counted_uids(
-        &self,
-        g: &Graph,
-        counts: HashMap<Oid, u64>,
-        exclude: &[i64],
-    ) -> Result<Vec<Counted<i64>>> {
+    /// Maps an oid-keyed count map to [`Counted`] uid entries.
+    fn counted_uids(&self, g: &Graph, counts: HashMap<Oid, u64>) -> Result<Vec<Counted<i64>>> {
         let mut out = Vec::with_capacity(counts.len());
         for (oid, count) in counts {
-            let uid = self.uid_of(g, oid)?;
-            if exclude.binary_search(&uid).is_err() {
-                out.push(Counted { key: uid, count });
-            }
+            out.push(Counted { key: self.uid_of(g, oid)?, count });
         }
         Ok(out)
     }
@@ -633,110 +623,7 @@ impl MicroblogEngine for BitEngine {
         Ok(next)
     }
 
-    // ---- top-n pushdown kernels: full count stream, bounded retention ------
-
-    fn co_mention_topn_kernel(&self, uid: i64, k: usize) -> Result<TopKPartial<i64>> {
-        let g = self.read();
-        let Some(a) = self.user_oid(&g, uid)? else {
-            return Ok(TopKPartial { top: Vec::new(), bound: 0 });
-        };
-        let counts = self.co_mention_counts(&g, a)?;
-        Ok(topk_bounded(self.counted_uids(&g, counts, &[])?, k))
-    }
-
-    fn co_mention_counts_for_kernel(&self, uid: i64, keys: &[i64]) -> Result<Vec<(i64, u64)>> {
-        let g = self.read();
-        let Some(a) = self.user_oid(&g, uid)? else { return Ok(Vec::new()) };
-        let counts = self.co_mention_counts(&g, a)?;
-        let mut out = Vec::new();
-        for (oid, count) in counts {
-            let b = self.uid_of(&g, oid)?;
-            if keys.binary_search(&b).is_ok() {
-                out.push((b, count));
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    fn co_tag_topn_kernel(&self, tag: &str, k: usize) -> Result<TopKPartial<String>> {
-        let g = self.read();
-        let Some(g0) = self.tag_oid(&g, tag)? else {
-            return Ok(TopKPartial { top: Vec::new(), bound: 0 });
-        };
-        let counts = self.co_tag_counts(&g, g0)?;
-        let mut entries = Vec::with_capacity(counts.len());
-        for (oid, count) in counts {
-            entries.push(Counted { key: self.tag_of(&g, oid)?, count });
-        }
-        Ok(topk_bounded(entries, k))
-    }
-
-    fn co_tag_counts_for_kernel(&self, tag: &str, keys: &[String]) -> Result<Vec<(String, u64)>> {
-        let g = self.read();
-        let Some(g0) = self.tag_oid(&g, tag)? else { return Ok(Vec::new()) };
-        let mut out = Vec::new();
-        for (oid, count) in self.co_tag_counts(&g, g0)? {
-            let t = self.tag_of(&g, oid)?;
-            if keys.binary_search(&t).is_ok() {
-                out.push((t, count));
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    fn count_followees_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        k: usize,
-    ) -> Result<TopKPartial<i64>> {
-        let g = self.read();
-        let mut counts: HashMap<Oid, u64> = HashMap::new();
-        for &uid in uids {
-            let Some(u) = self.user_oid(&g, uid)? else { continue };
-            for r in g.neighbors(u, self.h.follows, EdgesDirection::Outgoing)?.iter() {
-                *counts.entry(r).or_insert(0) += 1;
-            }
-        }
-        Ok(topk_bounded(self.counted_uids(&g, counts, exclude)?, k))
-    }
-
-    fn count_followees_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        let full = self.count_followees_kernel(uids)?;
-        Ok(full.into_iter().filter(|(key, _)| keys.binary_search(key).is_ok()).collect())
-    }
-
-    fn count_followers_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        k: usize,
-    ) -> Result<TopKPartial<i64>> {
-        let g = self.read();
-        let mut counts: HashMap<Oid, u64> = HashMap::new();
-        for &uid in uids {
-            let Some(u) = self.user_oid(&g, uid)? else { continue };
-            for r in g.neighbors(u, self.h.follows, EdgesDirection::Ingoing)?.iter() {
-                *counts.entry(r).or_insert(0) += 1;
-            }
-        }
-        Ok(topk_bounded(self.counted_uids(&g, counts, exclude)?, k))
-    }
-
-    fn count_followers_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        let full = self.count_followers_kernel(uids)?;
-        Ok(full.into_iter().filter(|(key, _)| keys.binary_search(key).is_ok()).collect())
-    }
+    // ---- Q5 pushdown kernel: full count stream, bounded retention ----------
 
     fn influence_topn_kernel(&self, uid: i64, current: bool, k: usize) -> Result<TopKPartial<i64>> {
         let g = self.read();
@@ -744,7 +631,7 @@ impl MicroblogEngine for BitEngine {
             return Ok(TopKPartial { top: Vec::new(), bound: 0 });
         };
         let counts = self.influence_counts(&g, a, current)?;
-        Ok(topk_bounded(self.counted_uids(&g, counts, &[])?, k))
+        Ok(topk_bounded(self.counted_uids(&g, counts)?, k))
     }
 
     fn ensure_user(&self, uid: i64) -> Result<()> {

@@ -237,46 +237,47 @@ pub trait MicroblogEngine: Send + Sync {
 
     // ---- top-n pushdown kernels (tail latency; DESIGN.md §4f) ---------------
     //
-    // Bounded variants of the counting kernels above: instead of shipping
-    // the full local count map, a shard returns its `k` best entries plus a
-    // threshold bound on anything it cut ([`TopKPartial`]). The sharded
-    // merge layer runs a threshold-algorithm (TA) loop over these, fetching
-    // exact counts for candidate keys via the `*_counts_for_kernel` twins
-    // only while the summed bounds could still change the global top-n.
-    // Every local list follows the global ordering invariant (count desc,
-    // ties ascending key), so pushdown never perturbs tie order. Default
-    // implementations derive both shapes from the full kernels — adapters
-    // override where the engine can prune natively (e.g. a `LIMIT` the
-    // declarative engine pushes into its sort operator).
+    // Q5's `influence_topn_kernel` returns a shard's `k` heaviest
+    // mentioners plus a threshold bound ([`TopKPartial`]); mentioner keys
+    // are disjoint by owner, so one round of these partials merges
+    // exactly. The Q3/Q4 `*_topn_kernel`/`*_counts_for_kernel` pairs are
+    // default-only hooks: the sharded merge sums the full count kernels
+    // above, so nothing in the engine calls them.
 
-    /// Q3.1 pushdown kernel — the `k` heaviest local co-mention partners of
-    /// `uid` plus the threshold bound for cut keys.
+    /// Default-only hook, derived from [`MicroblogEngine::co_mention_counts_kernel`]:
+    /// the `k` heaviest co-mention partners of `uid` plus the threshold
+    /// bound for cut keys. No engine overrides or calls it; kept on the
+    /// trait only because the benchmark's tracing wrapper
+    /// (`perfbench/src/trace.rs`) forwards it by name.
     fn co_mention_topn_kernel(&self, uid: i64, k: usize) -> Result<TopKPartial<i64>> {
         Ok(pushdown_partial(self.co_mention_counts_kernel(uid)?, &[], k))
     }
 
-    /// Q3.1 candidate-count kernel — exact local co-mention counts for the
-    /// given (ascending-sorted) candidate uids; absent keys are omitted.
+    /// Default-only hook: the co-mention counts of the given
+    /// (ascending-sorted) keys, absent keys omitted. Kept for the same
+    /// reason as [`MicroblogEngine::co_mention_topn_kernel`].
     fn co_mention_counts_for_kernel(&self, uid: i64, keys: &[i64]) -> Result<Vec<(i64, u64)>> {
         Ok(counts_for(self.co_mention_counts_kernel(uid)?, keys))
     }
 
-    /// Q3.2 pushdown kernel — the `k` heaviest local co-occurring hashtags
-    /// of `tag` plus the threshold bound for cut keys.
+    /// Default-only hook: the `k` heaviest co-occurring hashtags of `tag`
+    /// plus the threshold bound. Kept for the same reason as
+    /// [`MicroblogEngine::co_mention_topn_kernel`].
     fn co_tag_topn_kernel(&self, tag: &str, k: usize) -> Result<TopKPartial<String>> {
         Ok(pushdown_partial(self.co_tag_counts_kernel(tag)?, &[], k))
     }
 
-    /// Q3.2 candidate-count kernel — exact local co-occurrence counts for
-    /// the given (ascending-sorted) candidate tags; absent keys are omitted.
+    /// Default-only hook: the co-occurrence counts of the given
+    /// (ascending-sorted) tags, absent keys omitted. Kept for the same
+    /// reason as [`MicroblogEngine::co_mention_topn_kernel`].
     fn co_tag_counts_for_kernel(&self, tag: &str, keys: &[String]) -> Result<Vec<(String, u64)>> {
         Ok(counts_for(self.co_tag_counts_kernel(tag)?, keys))
     }
 
-    /// Q4.1 pushdown kernel — the `k` heaviest local followee-count targets
-    /// for the given source users, with every uid in `exclude` (ascending-
-    /// sorted: the recommendee and their existing followees) filtered out
-    /// *before* truncation, plus the threshold bound for cut keys.
+    /// Default-only hook: the `k` heaviest followee-count targets of
+    /// `uids`, with the ascending-sorted `exclude` uids dropped before the
+    /// cut, plus the threshold bound. Kept for the same reason as
+    /// [`MicroblogEngine::co_mention_topn_kernel`].
     fn count_followees_topn_kernel(
         &self,
         uids: &[i64],
@@ -286,8 +287,9 @@ pub trait MicroblogEngine: Send + Sync {
         Ok(pushdown_partial(self.count_followees_kernel(uids)?, exclude, k))
     }
 
-    /// Q4.1 candidate-count kernel — exact local followee counts for the
-    /// given (ascending-sorted) candidate uids; absent keys are omitted.
+    /// Default-only hook: the followee counts of the given
+    /// (ascending-sorted) keys, absent keys omitted. Kept for the same
+    /// reason as [`MicroblogEngine::co_mention_topn_kernel`].
     fn count_followees_counts_for_kernel(
         &self,
         uids: &[i64],
@@ -296,9 +298,9 @@ pub trait MicroblogEngine: Send + Sync {
         Ok(counts_for(self.count_followees_kernel(uids)?, keys))
     }
 
-    /// Q4.2 pushdown kernel — the `k` heaviest local follower-count sources
-    /// for the given target users, `exclude` filtered before truncation,
-    /// plus the threshold bound for cut keys.
+    /// Default-only hook: the `k` heaviest follower-count sources of
+    /// `uids`, `exclude` dropped before the cut, plus the threshold bound.
+    /// Kept for the same reason as [`MicroblogEngine::co_mention_topn_kernel`].
     fn count_followers_topn_kernel(
         &self,
         uids: &[i64],
@@ -308,8 +310,9 @@ pub trait MicroblogEngine: Send + Sync {
         Ok(pushdown_partial(self.count_followers_kernel(uids)?, exclude, k))
     }
 
-    /// Q4.2 candidate-count kernel — exact local follower counts for the
-    /// given (ascending-sorted) candidate uids; absent keys are omitted.
+    /// Default-only hook: the follower counts of the given
+    /// (ascending-sorted) keys, absent keys omitted. Kept for the same
+    /// reason as [`MicroblogEngine::co_mention_topn_kernel`].
     fn count_followers_counts_for_kernel(
         &self,
         uids: &[i64],
@@ -469,20 +472,12 @@ pub trait MicroblogEngine: Send + Sync {
     }
 }
 
-// ---- shared pushdown-kernel shapes -----------------------------------------
-// Both bounded-top-k and candidate-probe defaults derive from one full
-// count list through these two helpers; an adapter override only has to
-// reproduce *these* transformations to stay byte-compatible with the
-// defaults (the equivalence matrix checks it does).
+// ---- shapes of the default-only Q3/Q4 pushdown hooks -----------------------
 
 /// Filters `exclude` out of a full `(key, count)` list (ascending by key)
 /// and truncates to the `k` heaviest entries plus the threshold bound for
-/// everything cut — the shape every `*_topn_kernel` returns.
-pub fn pushdown_partial<K: Ord>(
-    full: Vec<(K, u64)>,
-    exclude: &[K],
-    k: usize,
-) -> TopKPartial<K> {
+/// everything cut.
+fn pushdown_partial<K: Ord>(full: Vec<(K, u64)>, exclude: &[K], k: usize) -> TopKPartial<K> {
     topk_partial(
         full.into_iter()
             .filter(|(key, _)| exclude.binary_search(key).is_err())
@@ -493,9 +488,8 @@ pub fn pushdown_partial<K: Ord>(
 }
 
 /// Restricts a full `(key, count)` list to the given ascending-sorted
-/// candidate keys, omitting absent ones — the shape every
-/// `*_counts_for_kernel` returns.
-pub fn counts_for<K: Ord>(full: Vec<(K, u64)>, keys: &[K]) -> Vec<(K, u64)> {
+/// candidate keys, omitting absent ones.
+fn counts_for<K: Ord>(full: Vec<(K, u64)>, keys: &[K]) -> Vec<(K, u64)> {
     full.into_iter().filter(|(key, _)| keys.binary_search(key).is_ok()).collect()
 }
 

@@ -83,11 +83,6 @@ pub fn key_slice(xs: &[i64]) -> u64 {
     xs.iter().fold(0x51AF_D0A3_BAAD_F00Du64, |acc, &x| mix(acc ^ x as u64))
 }
 
-/// Argument key for a string-list argument.
-pub fn key_str_slice(xs: &[String]) -> u64 {
-    xs.iter().fold(0x6B5F_23C1_0DDB_A11Cu64, |acc, x| mix(acc ^ fnv(x)))
-}
-
 /// Combines two argument keys into one (order-sensitive).
 pub fn key2(a: u64, b: u64) -> u64 {
     mix(a ^ mix(b))
@@ -857,78 +852,6 @@ impl MicroblogEngine for ChaosEngine {
     fn follow_frontier_kernel(&self, uids: &[i64]) -> Result<Vec<i64>> {
         self.gate("follow_frontier_kernel", key_slice(uids))?;
         self.inner.follow_frontier_kernel(uids)
-    }
-
-    fn co_mention_topn_kernel(
-        &self,
-        uid: i64,
-        k: usize,
-    ) -> Result<micrograph_common::topn::TopKPartial<i64>> {
-        self.gate("co_mention_topn_kernel", key2(key_i64(uid), k as u64))?;
-        self.inner.co_mention_topn_kernel(uid, k)
-    }
-
-    fn co_mention_counts_for_kernel(&self, uid: i64, keys: &[i64]) -> Result<Vec<(i64, u64)>> {
-        self.gate("co_mention_counts_for_kernel", key2(key_i64(uid), key_slice(keys)))?;
-        self.inner.co_mention_counts_for_kernel(uid, keys)
-    }
-
-    fn co_tag_topn_kernel(
-        &self,
-        tag: &str,
-        k: usize,
-    ) -> Result<micrograph_common::topn::TopKPartial<String>> {
-        self.gate("co_tag_topn_kernel", key2(key_str(tag), k as u64))?;
-        self.inner.co_tag_topn_kernel(tag, k)
-    }
-
-    fn co_tag_counts_for_kernel(&self, tag: &str, keys: &[String]) -> Result<Vec<(String, u64)>> {
-        self.gate("co_tag_counts_for_kernel", key2(key_str(tag), key_str_slice(keys)))?;
-        self.inner.co_tag_counts_for_kernel(tag, keys)
-    }
-
-    fn count_followees_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        k: usize,
-    ) -> Result<micrograph_common::topn::TopKPartial<i64>> {
-        self.gate(
-            "count_followees_topn_kernel",
-            key2(key_slice(uids), key2(key_slice(exclude), k as u64)),
-        )?;
-        self.inner.count_followees_topn_kernel(uids, exclude, k)
-    }
-
-    fn count_followees_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        self.gate("count_followees_counts_for_kernel", key2(key_slice(uids), key_slice(keys)))?;
-        self.inner.count_followees_counts_for_kernel(uids, keys)
-    }
-
-    fn count_followers_topn_kernel(
-        &self,
-        uids: &[i64],
-        exclude: &[i64],
-        k: usize,
-    ) -> Result<micrograph_common::topn::TopKPartial<i64>> {
-        self.gate(
-            "count_followers_topn_kernel",
-            key2(key_slice(uids), key2(key_slice(exclude), k as u64)),
-        )?;
-        self.inner.count_followers_topn_kernel(uids, exclude, k)
-    }
-
-    fn count_followers_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        self.gate("count_followers_counts_for_kernel", key2(key_slice(uids), key_slice(keys)))?;
-        self.inner.count_followers_counts_for_kernel(uids, keys)
     }
 
     fn influence_topn_kernel(

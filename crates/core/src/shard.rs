@@ -37,11 +37,10 @@
 //! cost) instead of the sum.
 //!
 //! Tail latency (DESIGN.md §4f) is bounded by per-class virtual deadlines
-//! with Partial-mode shedding, and Q3/Q4/Q5 fan-outs ship bounded
-//! `*_topn_kernel` partials through **per-shard top-n pushdown**
-//! ([`pushdown_top_n`] — a threshold-algorithm merge, the only merge for
-//! those queries) whose answers are checked against the monolithic
-//! engines.
+//! with Partial-mode shedding. Every top-n query is one fan-out: Q3/Q4 sum
+//! the full per-shard counts before the top-n cut, and Q5 merges bounded
+//! `influence_topn_kernel` partials (its keys are disjoint by owner);
+//! both are checked against the monolithic engines.
 //!
 //! Replication (DESIGN.md §4i): every shard slot holds a [`ReplicaGroup`]
 //! — R engines ingested from the **same** partition dataset
@@ -64,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel;
-use micrograph_common::topn::{merge_top_n, Counted, TopKPartial};
+use micrograph_common::topn::{merge_top_n, Counted, TopN};
 use micrograph_datagen::{Dataset, Tweet};
 
 use crate::engine::{MicroblogEngine, Ranked};
@@ -167,16 +166,12 @@ pub fn partition_dataset(d: &Dataset, shards: usize) -> Vec<Dataset> {
     parts
 }
 
-fn counted<K: Ord>(pairs: Vec<(K, u64)>) -> Vec<Counted<K>> {
-    pairs.into_iter().map(|(key, count)| Counted { key, count }).collect()
-}
-
 fn to_ranked<K>(top: Vec<Counted<K>>) -> Vec<Ranked<K>> {
     top.into_iter().map(|c| Ranked::new(c.key, c.count)).collect()
 }
 
-/// Q4's kernel-side exclusion set: the subject plus everyone they already
-/// follow, sorted ascending (the `*_topn_kernel` contract) and deduped.
+/// Q4's exclusion set: the subject plus everyone they already follow,
+/// sorted ascending and deduped.
 fn exclusion_list(uid: i64, followed: &[i64]) -> Vec<i64> {
     let mut exclude: Vec<i64> = followed.iter().copied().chain([uid]).collect();
     exclude.sort_unstable();
@@ -184,56 +179,19 @@ fn exclusion_list(uid: i64, followed: &[i64]) -> Vec<i64> {
     exclude
 }
 
-/// Threshold-algorithm (TA) top-n merge over bounded per-shard partials
-/// (DESIGN.md §4f). Round-trips the shards with doubling `k` until the
-/// summed truncation bounds prove no unseen key can alter the top-n:
-///
-/// * `bound_sum == 0` — every answering shard sent its complete (filtered)
-///   count list, so the count-sum merge of the partials is exact.
-/// * Otherwise fetch exact global counts for the candidate union and stop
-///   once the n-th candidate **strictly** exceeds `bound_sum`: an unseen
-///   key's global count is at most the sum of per-shard bounds, and the
-///   strict inequality protects the ascending-key tie order (a tied
-///   unseen key with a smaller key would rank ahead of a seen one).
-///
-/// Termination: `k` doubles each round, so the bounds reach 0 once `k`
-/// covers the largest shard-local candidate list. Under Partial
-/// degradation lost shards simply contribute no partial (and no bound) —
-/// the loop still terminates, best effort over the shards that answered.
-///
-/// The opening `k = max(4n, 16)` is deliberately deep: a shard whose list
-/// fits inside it answers exhaustively (bound 0), so the common small-map
-/// case settles in ONE fan-out and only genuinely heavy candidate sets pay
-/// the extra exact-count round.
-fn pushdown_top_n<K: Ord + Clone>(
-    n: usize,
-    mut topn_fetch: impl FnMut(usize) -> Result<Vec<TopKPartial<K>>>,
-    mut counts_fetch: impl FnMut(Arc<Vec<K>>) -> Result<Vec<Vec<(K, u64)>>>,
-) -> Result<Vec<Counted<K>>> {
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let mut k = n.saturating_mul(4).max(16);
-    loop {
-        let partials = topn_fetch(k)?;
-        let bound_sum = partials.iter().fold(0u64, |a, p| a.saturating_add(p.bound));
-        let tops: Vec<Vec<Counted<K>>> = partials.into_iter().map(|p| p.top).collect();
-        if bound_sum == 0 {
-            return Ok(merge_top_n(tops, n));
+/// The Q3/Q4 top-n merge (DESIGN.md §4f): sums the full per-shard count
+/// lists, drops every key in `exclude` (ascending-sorted) from the sums,
+/// and keeps the `n` heaviest — count descending, ties by ascending key.
+/// A key's count may be split across shards, so nothing is truncated
+/// before the sum.
+fn top_n_of_sums<K: Ord>(parts: Vec<Vec<(K, u64)>>, exclude: &[K], n: usize) -> Vec<Ranked<K>> {
+    let mut top = TopN::new(n);
+    for (key, count) in sum_counts(parts) {
+        if exclude.binary_search(&key).is_err() {
+            top.offer(key, count);
         }
-        // Phase 2: exact global counts for every candidate any shard
-        // surfaced (the kernels expect the keys sorted ascending).
-        let mut keys: Vec<K> =
-            tops.iter().flat_map(|t| t.iter().map(|c| c.key.clone())).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let counts = counts_fetch(Arc::new(keys))?;
-        let merged = merge_top_n(counts.into_iter().map(counted).collect(), n);
-        if merged.len() == n && merged[n - 1].count > bound_sum {
-            return Ok(merged);
-        }
-        k = k.saturating_mul(2);
     }
+    to_ranked(top.into_sorted_vec())
 }
 
 /// Sums per-shard `(key, count)` partials into one ascending count list.
@@ -1157,21 +1115,12 @@ impl MicroblogEngine for ShardedEngine {
 
     fn co_mentioned_users(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         // A co-mention pair can recur on many shards (one per mentioning
-        // tweet), so truncated per-shard lists cannot simply be summed: the
-        // TA loop runs over bounded `co_mention_topn_kernel` partials and
-        // fetches exact counts for the candidate union when a bound is
-        // non-zero (DESIGN.md §4f). Each round ships O(k) rows per shard
-        // rather than every co-mentioned user.
+        // tweet), so the full per-shard counts are summed before the top-n
+        // cut (DESIGN.md §4f).
         self.q(|| {
-            let route = fault::key_i64(uid);
-            let top = pushdown_top_n(
-                n,
-                |k| self.broadcast(route, move |_, s| s.co_mention_topn_kernel(uid, k)),
-                |keys| {
-                    self.broadcast(route, move |_, s| s.co_mention_counts_for_kernel(uid, &keys))
-                },
-            )?;
-            Ok(to_ranked(top))
+            let parts =
+                self.broadcast(fault::key_i64(uid), move |_, s| s.co_mention_counts_kernel(uid))?;
+            Ok(top_n_of_sums(parts, &[], n))
         })
     }
 
@@ -1179,83 +1128,41 @@ impl MicroblogEngine for ShardedEngine {
         self.q(|| {
             let route = fault::key_str(tag);
             let tag = tag.to_owned();
-            let top = pushdown_top_n(
-                n,
-                |k| {
-                    let tag = tag.clone();
-                    self.broadcast(route, move |_, s| s.co_tag_topn_kernel(&tag, k))
-                },
-                |keys| {
-                    let tag = tag.clone();
-                    self.broadcast(route, move |_, s| s.co_tag_counts_for_kernel(&tag, &keys))
-                },
-            )?;
-            Ok(to_ranked(top))
+            let parts = self.broadcast(route, move |_, s| s.co_tag_counts_kernel(&tag))?;
+            Ok(top_n_of_sums(parts, &[], n))
         })
     }
 
     fn recommend_followees(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
-        // Frontier from the owner, counting kernels routed by ownership
-        // (out-edges are local to their source's shard), then the TA
-        // count-sum merge. The not-already-followed filter runs INSIDE the
-        // kernels (as a sorted exclude list applied before truncation), so
-        // the bounded partials rank exactly the global candidate set.
+        // Frontier from the owner, then counting kernels routed by
+        // ownership (out-edges are local to their source's shard), summed.
+        // The not-already-followed filter applies to the sums.
         self.q(|| {
-            let route = fault::key_i64(uid);
             let followed = self.point(uid, |s| s.followees(uid))?;
-            let exclude = Arc::new(exclusion_list(uid, &followed));
-            let buckets = Arc::new(self.route(&followed));
+            let exclude = exclusion_list(uid, &followed);
+            let buckets = self.route(&followed);
             let selected = Self::non_empty(&buckets);
-            let top = pushdown_top_n(
-                n,
-                |k| {
-                    let buckets = Arc::clone(&buckets);
-                    let exclude = Arc::clone(&exclude);
-                    self.scatter(route, selected.clone(), move |i, s| {
-                        s.count_followees_topn_kernel(&buckets[i], &exclude, k)
-                    })
-                },
-                |keys| {
-                    let buckets = Arc::clone(&buckets);
-                    self.scatter(route, selected.clone(), move |i, s| {
-                        s.count_followees_counts_for_kernel(&buckets[i], &keys)
-                    })
-                },
-            )?;
-            Ok(to_ranked(top))
+            let parts = self.scatter(fault::key_i64(uid), selected, move |i, s| {
+                s.count_followees_kernel(&buckets[i])
+            })?;
+            Ok(top_n_of_sums(parts, &exclude, n))
         })
     }
 
     fn recommend_followers(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         // In-edges are scattered (each lives on its source's shard), so the
         // frontier is BROADCAST; every `follows` edge is stored exactly
-        // once globally, so summing per-shard counts is exact. As in Q4.1
-        // the exclude filter runs inside the kernels and the TA loop bounds
-        // what each shard ships.
+        // once globally, so summing per-shard counts is exact.
         self.q(|| {
-            let route = fault::key_i64(uid);
-            let followed = Arc::new(self.point(uid, |s| s.followees(uid))?);
+            let followed = self.point(uid, |s| s.followees(uid))?;
             if followed.is_empty() {
                 return Ok(Vec::new());
             }
-            let exclude = Arc::new(exclusion_list(uid, &followed));
-            let top = pushdown_top_n(
-                n,
-                |k| {
-                    let followed = Arc::clone(&followed);
-                    let exclude = Arc::clone(&exclude);
-                    self.broadcast(route, move |_, s| {
-                        s.count_followers_topn_kernel(&followed, &exclude, k)
-                    })
-                },
-                |keys| {
-                    let followed = Arc::clone(&followed);
-                    self.broadcast(route, move |_, s| {
-                        s.count_followers_counts_for_kernel(&followed, &keys)
-                    })
-                },
-            )?;
-            Ok(to_ranked(top))
+            let exclude = exclusion_list(uid, &followed);
+            let parts = self.broadcast(fault::key_i64(uid), move |_, s| {
+                s.count_followers_kernel(&followed)
+            })?;
+            Ok(top_n_of_sums(parts, &exclude, n))
         })
     }
 
@@ -1263,8 +1170,8 @@ impl MicroblogEngine for ShardedEngine {
         // A mentioner p's tweets — and the p→A follows edge the filter
         // needs — are all on p's shard, so per-shard candidate sets are
         // DISJOINT and merging the truncated per-shard top-n is exact: ONE
-        // round of bounded `influence_topn_kernel` partials suffices, no
-        // TA loop or exact-count phase (the bound is ignored).
+        // round of bounded `influence_topn_kernel` partials suffices (the
+        // bound is ignored).
         self.q(|| {
             let parts = self.broadcast(fault::key_i64(uid), move |_, s| {
                 Ok(s.influence_topn_kernel(uid, true, n)?.top)
@@ -1785,97 +1692,45 @@ mod tests {
         assert_eq!(exclusion_list(7, &[]), vec![7]);
     }
 
-    // ---- the TA pushdown driver, against in-memory "shards" ---------------
+    // ---- the Q3/Q4 count-sum top-n merge -----------------------------------
 
-    use micrograph_common::topn::topk_partial;
-
-    fn ta_counts(shards: &[Vec<(i64, u64)>], keys: &[i64]) -> Vec<Vec<(i64, u64)>> {
-        shards
-            .iter()
-            .map(|s| {
-                s.iter().copied().filter(|(k, _)| keys.binary_search(k).is_ok()).collect()
-            })
-            .collect()
+    fn ranked(pairs: &[(i64, u64)]) -> Vec<Ranked<i64>> {
+        pairs.iter().map(|&(k, c)| Ranked::new(k, c)).collect()
     }
 
     #[test]
-    fn pushdown_driver_handles_split_key_adversary() {
-        // Classic TA adversary: key 5 is mediocre on every shard (count 5)
-        // but the global best (10); the per-shard leaders are disjoint
-        // count-6 keys that never sum. A naive truncated merge would crown
-        // one of them — the bounds force a deeper round instead.
-        let shard0: Vec<(i64, u64)> = (10..30).map(|k| (k, 6)).chain([(5, 5)]).collect();
-        let shard1: Vec<(i64, u64)> = (40..60).map(|k| (k, 6)).chain([(5, 5)]).collect();
-        let shards = vec![shard0, shard1];
-        let mut rounds = 0;
-        let out = pushdown_top_n(
-            1,
-            |k| {
-                rounds += 1;
-                Ok(shards.iter().map(|s| topk_partial(counted(s.clone()), k)).collect())
-            },
-            |keys| Ok(ta_counts(&shards, &keys)),
-        )
-        .unwrap();
-        assert_eq!(out, vec![Counted { key: 5, count: 10 }]);
-        assert!(rounds > 1, "bounds must force a deeper round to surface the split key");
-        // The driver agrees with the full-map merge at every n.
-        for n in 1..6 {
-            let full = merge_top_n(shards.iter().map(|s| counted(s.clone())).collect(), n);
-            let ta = pushdown_top_n(
-                n,
-                |k| Ok(shards.iter().map(|s| topk_partial(counted(s.clone()), k)).collect()),
-                |keys| Ok(ta_counts(&shards, &keys)),
-            )
-            .unwrap();
-            assert_eq!(ta, full, "n={n}");
-        }
+    fn top_n_of_sums_ranks_a_split_key_by_its_sum() {
+        // Key 5 ranks last on every shard (count 5 against disjoint count-6
+        // leaders) but is the global best once its counts are summed.
+        let shard = |leaders: std::ops::Range<i64>| -> Vec<(i64, u64)> {
+            [(5, 5)].into_iter().chain(leaders.map(|k| (k, 6))).collect()
+        };
+        let (shard0, shard1) = (shard(10..30), shard(40..60));
+        let out = top_n_of_sums(vec![shard0, shard1], &[], 3);
+        assert_eq!(out, ranked(&[(5, 10), (10, 6), (11, 6)]));
     }
 
     #[test]
-    fn pushdown_driver_stops_once_bounds_cannot_flip_the_order() {
-        // A dominant split key: the first exact-count phase proves no
-        // unseen key can reach it, so ONE bounded round settles the query
-        // even though both shards truncated their long tails.
-        let shard0: Vec<(i64, u64)> =
-            [(1i64, 100u64)].into_iter().chain((2..21).map(|k| (k, 1))).collect();
-        let shard1: Vec<(i64, u64)> =
-            [(1i64, 90u64)].into_iter().chain((30..49).map(|k| (k, 1))).collect();
-        let shards = vec![shard0, shard1];
-        let (mut topn_rounds, mut count_rounds) = (0, 0);
-        let out = pushdown_top_n(
-            1,
-            |k| {
-                topn_rounds += 1;
-                Ok(shards.iter().map(|s| topk_partial(counted(s.clone()), k)).collect())
-            },
-            |keys| {
-                count_rounds += 1;
-                Ok(ta_counts(&shards, &keys))
-            },
-        )
-        .unwrap();
-        assert_eq!(out, vec![Counted { key: 1, count: 190 }]);
-        assert_eq!(topn_rounds, 1, "one bounded round suffices");
-        assert_eq!(count_rounds, 1, "one exact-count phase settles it");
+    fn top_n_of_sums_excludes_after_summing() {
+        // Key 2 would win on its sum; excluded, it leaves no trace. The
+        // exclusion also drops a key present on one shard only.
+        let parts = vec![vec![(1i64, 3u64), (2, 4), (7, 1)], vec![(2, 4), (3, 2), (9, 5)]];
+        let out = top_n_of_sums(parts, &[2, 9], 10);
+        assert_eq!(out, ranked(&[(1, 3), (3, 2), (7, 1)]));
     }
 
     #[test]
-    fn pushdown_driver_zero_n_never_fetches() {
-        let fetches = std::cell::Cell::new(0u32);
-        let out: Vec<Counted<i64>> = pushdown_top_n(
-            0,
-            |_| {
-                fetches.set(fetches.get() + 1);
-                Ok(Vec::new())
-            },
-            |_| {
-                fetches.set(fetches.get() + 1);
-                Ok(Vec::new())
-            },
-        )
-        .unwrap();
-        assert!(out.is_empty());
-        assert_eq!(fetches.get(), 0, "n == 0 answers without touching a shard");
+    fn top_n_of_sums_breaks_ties_by_ascending_key() {
+        // Every key sums to 4; the order is by key, whichever shard held it.
+        let parts = vec![vec![(3i64, 1u64), (9, 4)], vec![(3, 3), (5, 4), (8, 2)], vec![(8, 2)]];
+        assert_eq!(top_n_of_sums(parts.clone(), &[], 3), ranked(&[(3, 4), (5, 4), (8, 4)]));
+        assert_eq!(top_n_of_sums(parts, &[], 10), ranked(&[(3, 4), (5, 4), (8, 4), (9, 4)]));
+    }
+
+    #[test]
+    fn top_n_of_sums_zero_n_is_empty() {
+        let parts = vec![vec![(1i64, 9u64)], vec![(1, 1), (2, 3)]];
+        assert_eq!(top_n_of_sums(parts, &[], 0), vec![]);
+        assert_eq!(top_n_of_sums(Vec::<Vec<(i64, u64)>>::new(), &[], 5), vec![]);
     }
 }

@@ -1,14 +1,19 @@
-//! Tail-latency engineering invariants (DESIGN.md §4f): the per-shard
-//! top-n pushdown merge is a pure performance feature — it may not move a
-//! single byte of any answer. Pushdown-merge ≡ monolith is pinned across
-//! the 8-engine matrix, transient chaos under a deadline keeps the clean
-//! digest, and per-class deadlines shed scatter stragglers
-//! deterministically in Partial mode.
+//! Tail-latency engineering invariants (DESIGN.md §4f): the sharded top-n
+//! merges (Q3/Q4 sum the full per-shard counts, Q5 merges one round of
+//! bounded partials) answer exactly what the monolith answers — pinned
+//! across the 8-engine matrix. Each top-n request is one fan-out, so a
+//! lost shard costs it exactly one shard of coverage; transient chaos
+//! under a deadline keeps the clean digest, and per-class deadlines shed
+//! scatter stragglers deterministically in Partial mode.
 
 use micrograph_core::engine::MicroblogEngine;
-use micrograph_core::fault::silence_injected_panics;
-use micrograph_core::ingest::{build_chaos_sharded_engines, build_sharded_engines};
-use micrograph_core::serve::{serve, ClassDeadlines, ServeConfig, ServeReport};
+use micrograph_core::fault::{self, silence_injected_panics};
+use micrograph_core::ingest::{
+    build_chaos_sharded_engines, build_replicated_engines, build_sharded_engines,
+};
+use micrograph_core::serve::{
+    execute_rendered, serve, ClassDeadlines, Request, ServeConfig, ServeReport,
+};
 use micrograph_core::workload::{run_query, QueryClass, QueryId, QueryParams};
 use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy};
 use micrograph_datagen::{generate, Dataset, GenConfig};
@@ -46,10 +51,11 @@ fn fingerprint(r: &ServeReport) -> (Vec<String>, u64, u64, String) {
 }
 
 #[test]
-fn pushdown_merge_matches_the_monolith_across_the_matrix() {
-    // The 8-engine matrix: for every sharded engine, the threshold-
-    // algorithm merge over bounded `*_topn_kernel` partials must answer
-    // the full Q1–Q6 sweep identically to the monolith reference.
+fn count_sum_merge_matches_the_monolith_across_the_matrix() {
+    // The 8-engine matrix: for every sharded engine, the Q3/Q4 count-sum
+    // merge (full per-shard counts, summed, exclusions dropped, then the
+    // top-n cut) and the rest of the Q1–Q6 sweep must answer identically
+    // to the monolith reference.
     let (ds, g) = dataset(91, "matrix");
     let files = ds.write_csv(&g.0.join("mono")).unwrap();
     let (arbor, bit, _) = micrograph_core::ingest::build_engines(&files).unwrap();
@@ -62,11 +68,11 @@ fn pushdown_merge_matches_the_monolith_across_the_matrix() {
     }
     let reference: &dyn MicroblogEngine = &arbor;
     let mut rng = micrograph_common::rng::SplitMix64::new(91);
-    for round in 0..4 {
+    for round in 0..5 {
         let mut params = QueryParams::sample(&mut rng, USERS, 8);
-        // Sweep n across the TA edge cases: n == 1, n larger than most
-        // candidate sets, and the default.
-        params.n = [1, 25, 10, 3][round];
+        // Sweep n across the cut's edge cases: n == 1, n larger than most
+        // candidate sets, the default, and n == 0 (an empty answer).
+        params.n = [1, 25, 10, 3, 0][round];
         for q in QueryId::ALL {
             let expected = run_query(reference, q, &params).unwrap();
             assert_eq!(expected, run_query(&bit, q, &params).unwrap(), "{}", q.label());
@@ -74,6 +80,58 @@ fn pushdown_merge_matches_the_monolith_across_the_matrix() {
                 let got = run_query(s, q, &params).unwrap();
                 assert_eq!(expected, got, "{} on {} diverged from monolith", q.label(), s.name());
             }
+        }
+    }
+}
+
+#[test]
+fn partial_mode_tags_every_q3_answer_with_one_fanout_of_coverage() {
+    // 4 shards, R = 1, Partial mode, the sole replica of shard 2 killed: a
+    // Q3 request is ONE broadcast, so exactly 3 of its 4 shard calls
+    // answer and every answer is tagged `<coverage:3/4>` on both backends.
+    // The dataset is dense and n = 1 is swept, so shards hold far more
+    // co-occurrence candidates than any top-n cut keeps.
+    let mut cfg = GenConfig::unit();
+    cfg.seed = 98;
+    cfg.users = USERS;
+    cfg.poster_fraction = 0.5;
+    cfg.tweets_per_poster = 10;
+    cfg.mentions_per_tweet = 3.0;
+    cfg.tags_per_tweet = 3.0;
+    cfg.hashtag_vocab = 120;
+    let ds = generate(&cfg);
+    let g = Guard(micrograph_common::unique_temp_dir("tail-coverage-98"));
+    let _ = std::fs::remove_dir_all(&g.0);
+    let (arbor, bit) = build_replicated_engines(&ds, &g.0, 4, 1).unwrap();
+    let base = QueryParams::sample(&mut micrograph_common::rng::SplitMix64::new(98), USERS, 8);
+    let mut requests = Vec::new();
+    for n in [1, 10] {
+        for uid in 1..=USERS as i64 {
+            let params = QueryParams { uid, n, ..base.clone() };
+            requests.push(Request { query: QueryId::Q3_1, params });
+        }
+        for tag in &ds.hashtags {
+            let params = QueryParams { tag: tag.clone(), n, ..base.clone() };
+            requests.push(Request { query: QueryId::Q3_2, params });
+        }
+    }
+    for engine in [arbor, bit] {
+        let engine = engine.with_degradation(DegradationMode::Partial);
+        engine.kill_replica(2, 0);
+        for req in &requests {
+            let (answer, stats) =
+                fault::with_request_budget(None, || execute_rendered(&engine, req));
+            answer.unwrap();
+            assert_eq!(
+                format!("<coverage:{}>", stats.coverage),
+                "<coverage:3/4>",
+                "{}: {} uid={} tag={} n={}",
+                engine.name(),
+                req.query.label(),
+                req.params.uid,
+                req.params.tag,
+                req.params.n
+            );
         }
     }
 }
@@ -188,12 +246,12 @@ fn class_rows_partition_a_clean_serving_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// For random datasets and top-n limits, the sharded pushdown merge
-    /// returns the same rows as the monolith of the same backend for every
-    /// top-n query — the TA bound logic can never change an answer, only
-    /// how many candidates cross the wire.
+    /// For random datasets and top-n limits, the sharded top-n merges (the
+    /// Q3/Q4 count-sum, Q5's one round of disjoint partials) return the
+    /// same rows as the monolith of the same backend for every top-n
+    /// query: summing before the cut sees every key's full count.
     #[test]
-    fn pushdown_merge_equals_the_monolith(
+    fn count_sum_merge_equals_the_monolith(
         data_seed in 300u64..400,
         n in 1usize..24,
     ) {
