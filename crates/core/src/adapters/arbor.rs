@@ -22,6 +22,7 @@ use arbordb::{Direction, NodeId, Value};
 use micrograph_common::topn::{merge_top_n, Counted, TopKPartial};
 
 use crate::engine::{MicroblogEngine, Ranked};
+use crate::shard::ShardOp;
 use crate::{CoreError, Result};
 
 /// The three ways §4 phrases the Q4.1 recommendation query.
@@ -287,19 +288,99 @@ impl ArborEngine {
         self.node_of_uid(uid)
     }
 
-    /// Stages one event into a live transaction — the shared body of
-    /// [`MicroblogEngine::apply_event`] (one transaction per event, the
-    /// oracle) and [`MicroblogEngine::apply_event_batch`] (one group-commit
-    /// transaction for the whole batch). Page-level writes are visible to
-    /// later events immediately (read-uncommitted within the writer);
-    /// user-index visibility goes through the `created` overlay.
-    fn stage_event(
+    /// Stages `ops` in ONE buffered transaction, each under a savepoint: a
+    /// failing op rolls back to its savepoint and the ops before it commit.
+    /// Every node the ops create joins the `created` overlay, so later ops
+    /// see it before the index does (index ops land at commit).
+    fn group_commit<'a>(&self, ops: impl ExactSizeIterator<Item = ShardOp<'a>>) -> Result<()> {
+        if ops.len() == 0 {
+            return Ok(());
+        }
+        let mut tx = self.db.begin_write_batched()?;
+        let mut created = HashMap::new();
+        for op in ops {
+            let sp = tx.savepoint();
+            if let Err(e) = self.stage_op(&mut tx, &mut created, &op) {
+                tx.rollback_to(&sp)?;
+                tx.commit()?;
+                return Err(e);
+            }
+        }
+        tx.commit()?;
+        Ok(())
+    }
+
+    /// One op in its own transaction — the looped oracle's unit: an error
+    /// drops (aborts) the transaction, so nothing of the op commits.
+    fn commit_op(&self, op: &ShardOp<'_>) -> Result<()> {
+        let mut tx = self.db.begin_write()?;
+        // One op per transaction: the overlay starts (and stays) empty —
+        // everything the op references committed before it began.
+        self.stage_op(&mut tx, &mut HashMap::new(), op)?;
+        tx.commit()?;
+        Ok(())
+    }
+
+    /// Stages one shard op into a live transaction — the per-op body of
+    /// every write method: one transaction per op (`commit_op`, the
+    /// looped oracle) or one group-commit transaction per batch or shard
+    /// list (`apply_shard_ops`). Page-level writes are visible to later
+    /// ops immediately (read-uncommitted within the writer); user-index
+    /// visibility goes through the `created` overlay, which every node
+    /// an op creates joins.
+    fn stage_op(
         &self,
         tx: &mut arbordb::db::WriteTxn<'_>,
         created: &mut HashMap<i64, NodeId>,
-        event: &micrograph_datagen::UpdateEvent,
+        op: &ShardOp<'_>,
     ) -> Result<()> {
         use micrograph_datagen::UpdateEvent;
+        let event = match *op {
+            ShardOp::Event(event) => event,
+            ShardOp::Ghost(uid) => {
+                if self.find_user(created, uid)?.is_none() {
+                    let props = [(crate::schema::UID, Value::Int(uid))];
+                    let node = tx.create_node(crate::schema::USER, &props)?;
+                    created.insert(uid, node);
+                }
+                return Ok(());
+            }
+            ShardOp::CountFollowers { uid, delta } => {
+                // Upsert: a cross-shard follow can replay before the owner
+                // saw the `new user` event. Create the placeholder and
+                // count onto it; the later `NewUser` fills in attributes
+                // without resetting the count.
+                match self.find_user(created, uid)? {
+                    Some(node) => {
+                        // Like a follow, a bump leaves a bare node bare.
+                        let count = self
+                            .db
+                            .node_prop(node, crate::schema::FOLLOWERS)?
+                            .and_then(|v| v.as_int());
+                        if let Some(count) = count {
+                            tx.set_node_prop(
+                                node,
+                                crate::schema::FOLLOWERS,
+                                Value::Int(count + delta),
+                            )?;
+                        }
+                    }
+                    None => {
+                        let node = tx.create_node(
+                            crate::schema::USER,
+                            &[
+                                (crate::schema::UID, Value::Int(uid)),
+                                (crate::schema::NAME, Value::Str(String::new())),
+                                (crate::schema::FOLLOWERS, Value::Int(delta)),
+                                (crate::schema::VERIFIED, Value::Int(0)),
+                            ],
+                        )?;
+                        created.insert(uid, node);
+                    }
+                }
+                return Ok(());
+            }
+        };
         match event {
             UpdateEvent::NewUser { uid, name } => {
                 // Upsert: when a placeholder exists (a bare ensure_user
@@ -658,45 +739,11 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn ensure_user(&self, uid: i64) -> Result<()> {
-        if self.node_of_uid(uid)?.is_some() {
-            return Ok(());
-        }
-        let mut tx = self.db.begin_write()?;
-        tx.create_node(crate::schema::USER, &[(crate::schema::UID, Value::Int(uid))])?;
-        tx.commit()?;
-        Ok(())
+        self.commit_op(&ShardOp::Ghost(uid))
     }
 
     fn bump_followers(&self, uid: i64, delta: i64) -> Result<()> {
-        // Upsert: a cross-shard follow can replay before the owner saw the
-        // `new user` event. Create the placeholder and count onto it; the
-        // later `NewUser` fills in attributes without resetting the count.
-        match self.node_of_uid(uid)? {
-            Some(node) => {
-                // Like a follow, a bump leaves a bare node bare.
-                let count =
-                    self.db.node_prop(node, crate::schema::FOLLOWERS)?.and_then(|v| v.as_int());
-                if let Some(count) = count {
-                    let mut tx = self.db.begin_write()?;
-                    tx.set_node_prop(node, crate::schema::FOLLOWERS, Value::Int(count + delta))?;
-                    tx.commit()?;
-                }
-            }
-            None => {
-                let mut tx = self.db.begin_write()?;
-                tx.create_node(
-                    crate::schema::USER,
-                    &[
-                        (crate::schema::UID, Value::Int(uid)),
-                        (crate::schema::NAME, Value::Str(String::new())),
-                        (crate::schema::FOLLOWERS, Value::Int(delta)),
-                        (crate::schema::VERIFIED, Value::Int(0)),
-                    ],
-                )?;
-                tx.commit()?;
-            }
-        }
-        Ok(())
+        self.commit_op(&ShardOp::CountFollowers { uid, delta })
     }
 
     /// Applies one streaming update transactionally (the paper's future-work
@@ -705,13 +752,7 @@ impl MicroblogEngine for ArborEngine {
     /// path serializes on the database's single-writer mutex, so concurrent
     /// readers keep working while an event commits.
     fn apply_event(&self, event: &micrograph_datagen::UpdateEvent) -> Result<()> {
-        let mut tx = self.db.begin_write()?;
-        // One event per transaction: the overlay starts (and stays) empty —
-        // everything the event references committed before it began.
-        let mut created = HashMap::new();
-        self.stage_event(&mut tx, &mut created, event)?;
-        tx.commit()?;
-        Ok(())
+        self.commit_op(&ShardOp::Event(event))
     }
 
     /// Group commit (DESIGN.md §4j): the whole batch in ONE buffered
@@ -721,21 +762,13 @@ impl MicroblogEngine for ArborEngine {
     /// its savepoint) and commits the successful prefix, leaving exactly
     /// the state — and returning exactly the error — of the looped oracle.
     fn apply_event_batch(&self, events: &[micrograph_datagen::UpdateEvent]) -> Result<()> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        let mut tx = self.db.begin_write_batched()?;
-        let mut created = HashMap::new();
-        for event in events {
-            let sp = tx.savepoint();
-            if let Err(e) = self.stage_event(&mut tx, &mut created, event) {
-                tx.rollback_to(&sp)?;
-                tx.commit()?;
-                return Err(e);
-            }
-        }
-        tx.commit()?;
-        Ok(())
+        self.group_commit(events.iter().map(ShardOp::Event))
+    }
+
+    /// One shard list as ONE group-commit transaction, with the savepoint
+    /// prefix semantics of `apply_event_batch`.
+    fn apply_shard_ops(&self, ops: &[ShardOp<'_>]) -> Result<()> {
+        self.group_commit(ops.iter().copied())
     }
 
     fn reset_stats(&self) {

@@ -26,6 +26,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::engine::{MicroblogEngine, Ranked};
 use crate::schema;
+use crate::shard::ShardOp;
 use crate::{CoreError, Result};
 
 /// Resolved schema handles.
@@ -168,10 +169,45 @@ impl BitEngine {
         Ok(o)
     }
 
+    /// Applies one shard op to the canonical graph — the per-op body every
+    /// write method stages through, so a list written in one commit and
+    /// the same ops written one by one do the same counted work.
+    fn stage_op(&self, g: &mut Graph, op: &ShardOp<'_>) -> Result<()> {
+        match *op {
+            ShardOp::Event(event) => self.stage_event(g, event),
+            ShardOp::Ghost(uid) => {
+                if g.find_object(self.h.uid, &Value::Int(uid))?.is_none() {
+                    // A bare ghost: the uid and nothing else (no
+                    // `followers` value).
+                    let user_ty = g.find_type(schema::USER).expect("schema loaded");
+                    let o = g.add_node(user_ty)?;
+                    g.set_attr(o, self.h.uid, Value::Int(uid))?;
+                }
+                Ok(())
+            }
+            ShardOp::CountFollowers { uid, delta } => {
+                // Upsert: a cross-shard follow can replay before the owner
+                // saw the `new user` event. Create the placeholder and
+                // count onto it; the later `NewUser` fills in attributes
+                // without resetting the count.
+                let o = match g.find_object(self.h.uid, &Value::Int(uid))? {
+                    Some(o) => o,
+                    None => self.create_placeholder(g, uid)?,
+                };
+                // Like a follow, a bump leaves a bare node bare.
+                if let Some(count) = g.get_attr(o, self.h.followers)?.and_then(|v| v.as_int()) {
+                    g.set_attr(o, self.h.followers, Value::Int(count + delta))?;
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Applies one event to the canonical graph — the shared body of
-    /// [`MicroblogEngine::apply_event`] (one event per lock hold) and
-    /// [`MicroblogEngine::apply_event_batch`] (the whole batch under one
-    /// lock hold, one snapshot publish at the end).
+    /// [`MicroblogEngine::apply_event`] (one event per lock hold),
+    /// [`MicroblogEngine::apply_event_batch`] and the `Event` ops of
+    /// [`MicroblogEngine::apply_shard_ops`] (a whole batch or list under
+    /// one lock hold, one snapshot publish at the end).
     fn stage_event(&self, g: &mut Graph, event: &micrograph_datagen::UpdateEvent) -> Result<()> {
         use micrograph_datagen::UpdateEvent;
         let user_ty = g.find_type(schema::USER).expect("schema loaded");
@@ -635,37 +671,11 @@ impl MicroblogEngine for BitEngine {
     }
 
     fn ensure_user(&self, uid: i64) -> Result<()> {
-        let mut g = self.g.write();
-        if g.find_object(self.h.uid, &Value::Int(uid))?.is_some() {
-            // Idempotent no-op: nothing changed, keep the published
-            // generation (no clone).
-            return Ok(());
-        }
-        // A bare ghost: the uid and nothing else (no `followers` value).
-        let user_ty = g.find_type(schema::USER).expect("schema loaded");
-        let res = g
-            .add_node(user_ty)
-            .and_then(|o| g.set_attr(o, self.h.uid, Value::Int(uid)))
-            .map_err(CoreError::from);
-        self.publish(&g);
-        res
+        self.apply_shard_ops(&[ShardOp::Ghost(uid)])
     }
 
     fn bump_followers(&self, uid: i64, delta: i64) -> Result<()> {
-        // Upsert: a cross-shard follow can replay before the owner saw the
-        // `new user` event. Create the placeholder and count onto it; the
-        // later `NewUser` fills in attributes without resetting the count.
-        self.with_write(|g| {
-            let o = match g.find_object(self.h.uid, &Value::Int(uid))? {
-                Some(o) => o,
-                None => self.create_placeholder(g, uid)?,
-            };
-            // Like a follow, a bump leaves a bare node bare.
-            if let Some(count) = g.get_attr(o, self.h.followers)?.and_then(|v| v.as_int()) {
-                g.set_attr(o, self.h.followers, Value::Int(count + delta))?;
-            }
-            Ok(())
-        })
+        self.apply_shard_ops(&[ShardOp::CountFollowers { uid, delta }])
     }
 
     /// Applies one streaming update (the paper's future-work update
@@ -681,12 +691,13 @@ impl MicroblogEngine for BitEngine {
     /// leaves, because each `stage_event` validates every referenced
     /// entity before its first mutation.
     fn apply_event_batch(&self, events: &[micrograph_datagen::UpdateEvent]) -> Result<()> {
-        self.with_write(|g| {
-            for event in events {
-                self.stage_event(g, event)?;
-            }
-            Ok(())
-        })
+        self.with_write(|g| events.iter().try_for_each(|event| self.stage_event(g, event)))
+    }
+
+    /// One shard list under ONE write-lock acquisition and ONE snapshot
+    /// publish, with the same prefix semantics as `apply_event_batch`.
+    fn apply_shard_ops(&self, ops: &[ShardOp<'_>]) -> Result<()> {
+        self.with_write(|g| ops.iter().try_for_each(|op| self.stage_op(g, op)))
     }
 
     fn reset_stats(&self) {

@@ -345,7 +345,10 @@ pub trait MicroblogEngine: Send + Sync {
     /// value, so a `followers` value exists only on the owner shard and no
     /// shard's Q1.1 selects a user it does not own. A follow onto a ghost
     /// leaves it bare; a `NewUser` onto it fills every attribute in.
-    /// Idempotent.
+    /// Idempotent. The sharded write path reaches it as
+    /// [`crate::shard::ShardOp::Ghost`] inside one `apply_shard_ops` list;
+    /// it stays a trait method because the benchmark's tracing wrapper
+    /// (`perfbench/src/trace.rs`) forwards it by name.
     fn ensure_user(&self, uid: i64) -> Result<()>;
 
     /// Adjusts the stored `followers` property of `uid` by `delta` — the
@@ -355,7 +358,9 @@ pub trait MicroblogEngine: Send + Sync {
     /// unverified) is created first and the delta applied to it; a later `NewUser` event fills in the
     /// attributes without resetting the accumulated count. Like a follow,
     /// a bump leaves a bare node (one without a `followers` value) bare,
-    /// so a sharded engine counts exactly where its monolith does.
+    /// so a sharded engine counts exactly where its monolith does. Reached
+    /// as [`crate::shard::ShardOp::CountFollowers`] on the sharded write
+    /// path; kept on the trait for the same reason as `ensure_user`.
     fn bump_followers(&self, uid: i64, delta: i64) -> Result<()>;
 
     // ---- update workload (§5 future work) -----------------------------------
@@ -379,6 +384,44 @@ pub trait MicroblogEngine: Send + Sync {
     fn apply_event_batch(&self, events: &[micrograph_datagen::UpdateEvent]) -> Result<()> {
         for event in events {
             self.apply_event(event)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one shard's list of a compiled sharded batch (DESIGN.md
+    /// §4j) as one write. Same failure contract as
+    /// [`MicroblogEngine::apply_event_batch`]: stops at the first failing
+    /// op, keeping exactly the ops before it applied. Both adapters apply
+    /// the list in one commit / snapshot publish, through the same per-op
+    /// bodies their single-op methods use, so the counted work is equal.
+    ///
+    /// The default replays the list through the single-op methods — runs
+    /// of consecutive `Event`s through `apply_event_batch`, `Ghost` through
+    /// `ensure_user`, `CountFollowers` through `bump_followers` — so it
+    /// costs one write per run or op. A wrapper that can fail **between**
+    /// ops (fault injection) must override it with a single check before
+    /// it forwards, or a retried list would re-apply its prefix.
+    fn apply_shard_ops(&self, ops: &[crate::shard::ShardOp<'_>]) -> Result<()> {
+        use crate::shard::ShardOp;
+        let mut i = 0;
+        while i < ops.len() {
+            match ops[i] {
+                ShardOp::Ghost(uid) => self.ensure_user(uid)?,
+                ShardOp::CountFollowers { uid, delta } => self.bump_followers(uid, delta)?,
+                ShardOp::Event(_) => {
+                    let run: Vec<micrograph_datagen::UpdateEvent> = ops[i..]
+                        .iter()
+                        .map_while(|op| match op {
+                            ShardOp::Event(e) => Some((*e).clone()),
+                            _ => None,
+                        })
+                        .collect();
+                    i += run.len();
+                    self.apply_event_batch(&run)?;
+                    continue;
+                }
+            }
+            i += 1;
         }
         Ok(())
     }

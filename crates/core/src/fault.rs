@@ -33,6 +33,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::{MicroblogEngine, Ranked};
+use crate::shard::ShardOp;
 use crate::{CoreError, Result};
 
 // ---- deterministic hashing ----------------------------------------------
@@ -677,6 +678,18 @@ pub fn silence_injected_panics() {
     });
 }
 
+/// The fault-schedule key of one update event.
+fn event_key(event: &micrograph_datagen::UpdateEvent) -> u64 {
+    use micrograph_datagen::UpdateEvent;
+    match event {
+        UpdateEvent::NewUser { uid, .. } => key2(1, key_u64(*uid)),
+        UpdateEvent::NewFollow { follower, followee } => {
+            key2(2, key2(key_u64(*follower), *followee))
+        }
+        UpdateEvent::NewTweet { tid, .. } => key2(3, key_u64(*tid)),
+    }
+}
+
 /// A fault-injecting wrapper around any inner engine.
 ///
 /// Every workload method consults the [`FaultPlan`] **before** delegating:
@@ -878,36 +891,39 @@ impl MicroblogEngine for ChaosEngine {
     }
 
     fn apply_event(&self, event: &micrograph_datagen::UpdateEvent) -> Result<()> {
-        use micrograph_datagen::UpdateEvent;
-        let key = match event {
-            UpdateEvent::NewUser { uid, .. } => key2(1, key_u64(*uid)),
-            UpdateEvent::NewFollow { follower, followee } => {
-                key2(2, key2(key_u64(*follower), *followee))
-            }
-            UpdateEvent::NewTweet { tid, .. } => key2(3, key_u64(*tid)),
-        };
-        self.gate("apply_event", key)?;
+        self.gate("apply_event", event_key(event))?;
         self.inner.apply_event(event)
     }
 
     fn apply_event_batch(&self, events: &[micrograph_datagen::UpdateEvent]) -> Result<()> {
-        use micrograph_datagen::UpdateEvent;
         // ONE gate per batch, keyed by a fold of the per-event keys, fired
         // BEFORE the inner engine mutates anything: a retried batch either
         // never started (the gate rejected it) or runs against the same
         // pre-batch state, so it is never double-applied (DESIGN.md §4j).
-        let key = events.iter().fold(key2(4, events.len() as u64), |acc, event| {
-            let k = match event {
-                UpdateEvent::NewUser { uid, .. } => key2(1, key_u64(*uid)),
-                UpdateEvent::NewFollow { follower, followee } => {
-                    key2(2, key2(key_u64(*follower), *followee))
-                }
-                UpdateEvent::NewTweet { tid, .. } => key2(3, key_u64(*tid)),
-            };
-            key2(acc, k)
-        });
+        let key = events
+            .iter()
+            .fold(key2(4, events.len() as u64), |acc, event| key2(acc, event_key(event)));
         self.gate("apply_event_batch", key)?;
         self.inner.apply_event_batch(events)
+    }
+
+    fn apply_shard_ops(&self, ops: &[ShardOp<'_>]) -> Result<()> {
+        // ONE gate per list, like `apply_event_batch`: the trait default
+        // would gate every op and a retried list would re-apply its prefix.
+        let key = ops.iter().fold(key2(5, ops.len() as u64), |acc, op| {
+            key2(
+                acc,
+                match *op {
+                    ShardOp::Event(event) => event_key(event),
+                    ShardOp::Ghost(uid) => key2(6, key_i64(uid)),
+                    ShardOp::CountFollowers { uid, delta } => {
+                        key2(7, key2(key_i64(uid), delta as u64))
+                    }
+                },
+            )
+        });
+        self.gate("apply_shard_ops", key)?;
+        self.inner.apply_shard_ops(ops)
     }
 
     fn reset_stats(&self) {

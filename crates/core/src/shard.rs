@@ -56,15 +56,22 @@
 //! out to every replica of the owning shard; a replica that misses a write
 //! the group accepted is marked **torn** and never serves again — failing
 //! fast beats serving stale.
+//!
+//! Writes (DESIGN.md §4j): an event batch is validated against the users'
+//! owners, then compiled ([`ShardOp`] lists, one per shard) and applied
+//! with one write per shard. A batch holding an invalid event fails with
+//! the looped oracle's error text and leaves exactly the looped prefix —
+//! every event before the invalid one, on every shard — as the monolithic
+//! adapters do.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel;
 use micrograph_common::topn::{merge_top_n, Counted, TopN};
-use micrograph_datagen::{Dataset, Tweet};
+use micrograph_datagen::{Dataset, Tweet, UpdateEvent};
 
 use crate::engine::{MicroblogEngine, Ranked};
 use crate::fault::{self, DegradationMode, FaultCounters, FaultStats, RetryPolicy};
@@ -520,6 +527,109 @@ fn replica_call<T>(
     Err(primary_err.expect("non-empty replica group recorded an error"))
 }
 
+// ---- compiled write batches (DESIGN.md §4j) --------------------------------
+
+/// One shard-local write of a compiled event batch: what a single shard
+/// applies for its share of the stream. Applied in order by
+/// [`MicroblogEngine::apply_shard_ops`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ShardOp<'a> {
+    /// An event whose every user reference resolves on this shard (the
+    /// ghosts it needs precede it in the same list).
+    Event(&'a UpdateEvent),
+    /// A bare ghost replica of a user owned by another shard — the
+    /// [`MicroblogEngine::ensure_user`] write.
+    Ghost(i64),
+    /// The owner-shard half of a cross-shard follow — the
+    /// [`MicroblogEngine::bump_followers`] write.
+    CountFollowers {
+        /// The followee, owned by this shard.
+        uid: i64,
+        /// The change to its `followers` count.
+        delta: i64,
+    },
+}
+
+/// The ops of one shard write, each paired (`origin`, ascending) with the
+/// batch index of the event it was compiled from.
+struct ShardList<'a> {
+    shard: usize,
+    ops: Vec<ShardOp<'a>>,
+    origin: Vec<usize>,
+}
+
+impl<'a> ShardList<'a> {
+    fn new(shard: usize) -> Self {
+        ShardList { shard, ops: Vec::new(), origin: Vec::new() }
+    }
+
+    fn push(&mut self, event: usize, op: ShardOp<'a>) {
+        self.ops.push(op);
+        self.origin.push(event);
+    }
+
+    /// The batch index of the tweet this list ends with, when that tweet
+    /// names hashtags — the list is then the tweet's tag check.
+    fn tag_check(&self) -> Option<usize> {
+        match self.ops.last()? {
+            ShardOp::Event(UpdateEvent::NewTweet { tags, .. }) if !tags.is_empty() => {
+                self.origin.last().copied()
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Compiles a user-validated event batch into shard-local op lists, in
+/// the order [`ShardedEngine::apply_event_batch`] writes them. Per shard,
+/// ops keep stream order:
+/// * a same-shard event is one `Event` on its shard;
+/// * a cross-shard follow is `Ghost(followee)` + `Event` on the follower's
+///   shard and `CountFollowers(followee, +1)` on the followee's owner;
+/// * a tweet is one `Ghost` per foreign mention + `Event` on its poster's
+///   shard.
+///
+/// Hashtags are replicated everywhere and never created by the stream, so
+/// only the home shard can reject a tweet's tags: a tweet that names tags
+/// ends its home list, which is emitted at once (and written before any
+/// later event is applied). Every other non-empty list follows at the end,
+/// in shard order.
+fn compile_batch(events: &[UpdateEvent], shards: usize) -> Vec<ShardList<'_>> {
+    let owner = |uid: u64| shard_of(uid as i64, shards);
+    let mut open: Vec<ShardList<'_>> = (0..shards).map(ShardList::new).collect();
+    let mut out = Vec::new();
+    for (i, event) in events.iter().enumerate() {
+        match event {
+            UpdateEvent::NewUser { uid, .. } => open[owner(*uid)].push(i, ShardOp::Event(event)),
+            UpdateEvent::NewFollow { follower, followee } => {
+                let (src, dst) = (owner(*follower), owner(*followee));
+                if src == dst {
+                    open[src].push(i, ShardOp::Event(event));
+                } else {
+                    let uid = *followee as i64;
+                    open[src].push(i, ShardOp::Ghost(uid));
+                    open[src].push(i, ShardOp::Event(event));
+                    open[dst].push(i, ShardOp::CountFollowers { uid, delta: 1 });
+                }
+            }
+            UpdateEvent::NewTweet { uid, mentions, tags, .. } => {
+                let home = owner(*uid);
+                for &m in mentions {
+                    if owner(m) != home {
+                        open[home].push(i, ShardOp::Ghost(m as i64));
+                    }
+                }
+                open[home].push(i, ShardOp::Event(event));
+                if !tags.is_empty() {
+                    out.push(std::mem::replace(&mut open[home], ShardList::new(home)));
+                }
+            }
+        }
+    }
+    out.extend(open.into_iter().filter(|l| !l.ops.is_empty()));
+    out
+}
+
 /// N inner engines behind one [`MicroblogEngine`] facade.
 ///
 /// Point lookups route to the owner shard; scatter/gather queries broadcast
@@ -758,46 +868,38 @@ impl ShardedEngine {
         }
     }
 
-    /// The single shard an event touches, when every entity it references
-    /// routes there: its owner for `NewUser`, the shared shard for a
-    /// same-shard `NewFollow`, the poster's home for a `NewTweet` whose
-    /// mentions all live at home (hashtags are replicated everywhere).
-    /// `None` marks a cross-shard event — a batching barrier, because it
-    /// writes to (or validates against) more than one shard and may depend
-    /// on pending events of any of them.
-    fn local_shard(&self, event: &micrograph_datagen::UpdateEvent) -> Option<usize> {
-        use micrograph_datagen::UpdateEvent;
-        let n = self.shards.len();
-        match event {
-            UpdateEvent::NewUser { uid, .. } => Some(shard_of(*uid as i64, n)),
-            UpdateEvent::NewFollow { follower, followee } => {
-                let (a, b) = (shard_of(*follower as i64, n), shard_of(*followee as i64, n));
-                (a == b).then_some(a)
-            }
-            UpdateEvent::NewTweet { uid, mentions, .. } => {
-                let home = shard_of(*uid as i64, n);
-                mentions.iter().all(|m| shard_of(*m as i64, n) == home).then_some(home)
+    /// Step 1 of a compiled batch: walks `events` in stream order and
+    /// checks every user an event names against its owner, in the looped
+    /// path's order (follower, then followee; poster, then mentions in
+    /// order). Each distinct uid costs at most one `has_user` point read;
+    /// uids that earlier `NewUser` events of the batch create are known
+    /// without one. Returns the length of the user-valid prefix and the
+    /// looped error of the first event past it, if any. Writes nothing.
+    fn validate_users(&self, events: &[UpdateEvent]) -> Result<(usize, Option<CoreError>)> {
+        let mut known: HashSet<u64> = HashSet::new();
+        for (i, event) in events.iter().enumerate() {
+            let (first, rest) = match event {
+                UpdateEvent::NewUser { uid, .. } => {
+                    known.insert(*uid);
+                    continue;
+                }
+                UpdateEvent::NewFollow { follower, followee } => {
+                    (follower, std::slice::from_ref(followee))
+                }
+                UpdateEvent::NewTweet { uid, mentions, .. } => (uid, mentions.as_slice()),
+            };
+            for &uid in std::iter::once(first).chain(rest) {
+                if known.contains(&uid) {
+                    continue;
+                }
+                let u = uid as i64;
+                if !self.point(u, |s| s.has_user(u))? {
+                    return Ok((i, Some(CoreError::NotFound(format!("user {uid}")))));
+                }
+                known.insert(uid);
             }
         }
-    }
-
-    /// Fans the accumulated per-shard event runs out, one batched write
-    /// per shard per replica, in shard order. A shard-local batch carries
-    /// its own validation (the inner adapters produce the same `NotFound`
-    /// texts in the same order the looped path would), so no scatter of
-    /// point reads precedes it.
-    fn flush_event_runs(
-        &self,
-        pending: &mut [Vec<micrograph_datagen::UpdateEvent>],
-    ) -> Result<()> {
-        for (s, run) in pending.iter_mut().enumerate() {
-            if run.is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(run);
-            self.write_at(s, |e| e.apply_event_batch(&batch))?;
-        }
-        Ok(())
+        Ok((events.len(), None))
     }
 
     /// Shard indices of non-empty routing buckets — the selection for a
@@ -1349,8 +1451,7 @@ impl MicroblogEngine for ShardedEngine {
         })
     }
 
-    fn apply_event(&self, event: &micrograph_datagen::UpdateEvent) -> Result<()> {
-        use micrograph_datagen::UpdateEvent;
+    fn apply_event(&self, event: &UpdateEvent) -> Result<()> {
         // Every step — validation reads and the writes themselves — runs
         // under the retry policy, and none of them degrade: a half-applied
         // update is worse than a failed one, so errors propagate in both
@@ -1407,31 +1508,49 @@ impl MicroblogEngine for ShardedEngine {
         })
     }
 
-    /// Group commit across the partition (DESIGN.md §4j): consecutive
-    /// shard-local events accumulate into per-shard runs, flushed as ONE
-    /// batched write per shard per replica (writes still never degrade;
-    /// torn-replica semantics unchanged — `write_at` is the same door every
-    /// single-event write goes through). A cross-shard event is a barrier:
-    /// all pending runs flush first (in shard order), then the event takes
-    /// the validated multi-step path of [`MicroblogEngine::apply_event`].
-    /// On a valid stream this is byte-identical to the looped oracle; on a
-    /// mid-batch failure each *shard* keeps its own successful prefix (the
-    /// global interleaving across shards is not replayed — the monolithic
-    /// adapters, where the oracle-exact prefix contract lives, do that).
-    fn apply_event_batch(&self, events: &[micrograph_datagen::UpdateEvent]) -> Result<()> {
-        let n = self.shards.len();
+    /// Group commit across the partition (DESIGN.md §4j): the batch is
+    /// compiled into ONE op list per shard and each list is applied with
+    /// ONE write — one commit or snapshot publish per shard per replica —
+    /// through `write_at`, the door every write goes through (writes never
+    /// degrade; torn-replica rules unchanged). In order:
+    /// 1. validate every user the batch names against its owner
+    ///    (`validate_users`), which finds the first user-invalid event `u`;
+    /// 2. compile the events before `u` (`compile_batch`);
+    /// 3. write each tag-checking list as it is reached: if its tweet `k`
+    ///    is rejected, write the other shards' ops of events before `k`
+    ///    and return that error;
+    /// 4. write the remaining lists in shard order, then return `u`'s
+    ///    error, if any.
+    ///
+    /// Exact-prefix contract: when an event is invalid, the batch fails
+    /// with the error text of the looped oracle ([`Self::apply_event`] per
+    /// event) and leaves exactly the state the looped oracle leaves — every
+    /// event before the first invalid one applied on every shard, nothing
+    /// after it. A write that fails because a shard is unavailable fails
+    /// the batch too, keeping the lists already written.
+    fn apply_event_batch(&self, events: &[UpdateEvent]) -> Result<()> {
         self.q(|| {
-            let mut pending: Vec<Vec<micrograph_datagen::UpdateEvent>> = vec![Vec::new(); n];
-            for event in events {
-                match self.local_shard(event) {
-                    Some(s) => pending[s].push(event.clone()),
-                    None => {
-                        self.flush_event_runs(&mut pending)?;
-                        self.apply_event(event)?;
+            let (valid, invalid) = self.validate_users(events)?;
+            let lists = compile_batch(&events[..valid], self.shards.len());
+            for (i, list) in lists.iter().enumerate() {
+                let Err(e) = self.write_at(list.shard, |s| s.apply_shard_ops(&list.ops)) else {
+                    continue;
+                };
+                if let Some(k) = list.tag_check() {
+                    // Keep an exact stream prefix: every other shard's ops
+                    // of events before `k`, at most one list per shard.
+                    let mut rest: Vec<&ShardList<'_>> = lists[i + 1..].iter().collect();
+                    rest.sort_by_key(|l| l.shard);
+                    for l in rest {
+                        let cut = l.origin.partition_point(|&o| o < k);
+                        if cut > 0 {
+                            self.write_at(l.shard, |s| s.apply_shard_ops(&l.ops[..cut]))?;
+                        }
                     }
                 }
+                return Err(e);
             }
-            self.flush_event_runs(&mut pending)
+            invalid.map_or(Ok(()), Err)
         })
     }
 
@@ -1732,5 +1851,157 @@ mod tests {
         let parts = vec![vec![(1i64, 9u64)], vec![(1, 1), (2, 3)]];
         assert_eq!(top_n_of_sums(parts, &[], 0), vec![]);
         assert_eq!(top_n_of_sums(Vec::<Vec<(i64, u64)>>::new(), &[], 5), vec![]);
+    }
+
+    // ---- compile_batch ------------------------------------------------------
+
+    const N: usize = 4;
+
+    /// The `i`-th smallest uid owned by `shard`.
+    fn uid_on(shard: usize, i: usize) -> u64 {
+        (1u64..).filter(|&u| shard_of(u as i64, N) == shard).nth(i).expect("uids exist")
+    }
+
+    fn user(uid: u64) -> UpdateEvent {
+        UpdateEvent::NewUser { uid, name: format!("u{uid}") }
+    }
+
+    fn follow(follower: u64, followee: u64) -> UpdateEvent {
+        UpdateEvent::NewFollow { follower, followee }
+    }
+
+    fn tweet(tid: u64, uid: u64, mentions: &[u64], tags: &[&str]) -> UpdateEvent {
+        UpdateEvent::NewTweet {
+            tid,
+            uid,
+            text: String::new(),
+            mentions: mentions.to_vec(),
+            tags: tags.iter().map(|t| t.to_string()).collect(),
+        }
+    }
+
+    /// `(shard, ops)` of every compiled list, in write order.
+    fn compiled(events: &[UpdateEvent]) -> Vec<(usize, Vec<ShardOp<'_>>)> {
+        compile_batch(events, N).into_iter().map(|l| (l.shard, l.ops)).collect()
+    }
+
+    #[test]
+    fn compile_keeps_same_shard_events_as_plain_event_lists() {
+        let (a, b, c) = (uid_on(0, 0), uid_on(0, 1), uid_on(2, 0));
+        let events = [user(a), follow(a, b), tweet(900, c, &[], &[]), follow(b, a), user(c)];
+        assert_eq!(
+            compiled(&events),
+            vec![
+                (0, [0, 1, 3].map(|i| ShardOp::Event(&events[i])).to_vec()),
+                (2, [2, 4].map(|i| ShardOp::Event(&events[i])).to_vec()),
+            ]
+        );
+    }
+
+    #[test]
+    fn compile_places_ghost_before_edge_and_count_on_the_owner() {
+        let (a, b) = (uid_on(1, 0), uid_on(3, 0));
+        let events = [follow(a, b)];
+        assert_eq!(
+            compiled(&events),
+            vec![
+                (1, vec![ShardOp::Ghost(b as i64), ShardOp::Event(&events[0])]),
+                (3, vec![ShardOp::CountFollowers { uid: b as i64, delta: 1 }]),
+            ]
+        );
+    }
+
+    #[test]
+    fn compile_ghosts_only_foreign_mentions_of_a_tweet() {
+        let (p, home, m1, m2) = (uid_on(2, 0), uid_on(2, 1), uid_on(0, 0), uid_on(1, 0));
+        let events = [tweet(901, p, &[m1, home, m2], &[])];
+        assert_eq!(
+            compiled(&events),
+            vec![(
+                2,
+                vec![
+                    ShardOp::Ghost(m1 as i64),
+                    ShardOp::Ghost(m2 as i64),
+                    ShardOp::Event(&events[0]),
+                ]
+            )]
+        );
+    }
+
+    #[test]
+    fn compile_keeps_stream_order_per_shard() {
+        let users: Vec<u64> = (0..24).map(|i| uid_on(i % N, i / N)).collect();
+        let mut events: Vec<UpdateEvent> = Vec::new();
+        for w in users.windows(3) {
+            events.push(follow(w[0], w[1]));
+            events.push(tweet(1000 + events.len() as u64, w[2], &[w[0], w[1]], &[]));
+        }
+        let lists = compile_batch(&events, N);
+        let mut seen = [false; N];
+        for l in &lists {
+            assert_eq!(l.ops.len(), l.origin.len());
+            assert!(l.origin.windows(2).all(|w| w[0] <= w[1]), "shard {}: out of order", l.shard);
+            // Untagged, every shard is written at most once.
+            assert!(!std::mem::replace(&mut seen[l.shard], true), "shard {} written twice", l.shard);
+        }
+        // Every op of the batch is compiled exactly once: each event's own
+        // `Event`, plus a ghost and a count per cross-shard follow and a
+        // ghost per foreign mention.
+        let expected: usize = events
+            .iter()
+            .map(|e| match e {
+                UpdateEvent::NewFollow { follower, followee } => {
+                    let cross = shard_of(*follower as i64, N) != shard_of(*followee as i64, N);
+                    if cross { 3 } else { 1 }
+                }
+                UpdateEvent::NewTweet { uid, mentions, .. } => {
+                    let home = shard_of(*uid as i64, N);
+                    1 + mentions.iter().filter(|&&m| shard_of(m as i64, N) != home).count()
+                }
+                UpdateEvent::NewUser { .. } => 1,
+            })
+            .sum();
+        assert_eq!(lists.iter().map(|l| l.ops.len()).sum::<usize>(), expected);
+    }
+
+    #[test]
+    fn compile_ends_the_home_list_at_a_tagged_tweet() {
+        let (a, b, c) = (uid_on(0, 0), uid_on(0, 1), uid_on(1, 0));
+        let events = [
+            follow(c, a),
+            follow(a, b),
+            tweet(902, a, &[], &["t"]),
+            user(c),
+            follow(b, a),
+        ];
+        let lists = compile_batch(&events, N);
+        // The tagged tweet closes shard 0's list and is written first; the
+        // rest follow in shard order, shard 0's continuation included.
+        assert_eq!(
+            lists.iter().map(|l| (l.shard, l.ops.clone())).collect::<Vec<_>>(),
+            vec![
+                (
+                    0,
+                    vec![
+                        ShardOp::CountFollowers { uid: a as i64, delta: 1 },
+                        ShardOp::Event(&events[1]),
+                        ShardOp::Event(&events[2]),
+                    ]
+                ),
+                (0, vec![ShardOp::Event(&events[4])]),
+                (
+                    1,
+                    vec![
+                        ShardOp::Ghost(a as i64),
+                        ShardOp::Event(&events[0]),
+                        ShardOp::Event(&events[3]),
+                    ]
+                ),
+            ]
+        );
+        assert_eq!(lists[0].tag_check(), Some(2));
+        assert_eq!(lists[1].tag_check(), None);
+        assert_eq!(lists[2].origin, vec![0, 0, 3]);
+        assert!(compile_batch(&[], N).is_empty());
     }
 }

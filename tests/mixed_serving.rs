@@ -12,14 +12,21 @@
 //! * Under transient chaos with retries, batches are never double-applied:
 //!   the chaos gate fires before mutation, so a retried batch reruns
 //!   against pre-batch state.
+//! * Compiled sharded batches (one op list per shard) keep the same
+//!   contract: the looped feed's error text and exactly its prefix state,
+//!   at 2 and 4 shards, R = 1 and 2, for every kind of invalid event.
+
+use std::hash::{Hash, Hasher};
 
 use arbordb::db::DbConfig;
 use arbordb::import::ImportOptions;
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::ingest::{
-    build_chaos_sharded_engines, build_engines, build_sharded_engines, ingest_arbor,
+    build_chaos_sharded_engines, build_engines, build_replicated_engines, build_sharded_engines,
+    ingest_arbor,
 };
 use micrograph_core::serve::{serve, ServeConfig};
+use micrograph_core::shard::shard_of;
 use micrograph_core::{ArborEngine, DegradationMode, FaultPlan, RetryPolicy};
 use micrograph_datagen::{generate, Dataset, GenConfig, StreamGen, StreamMix, UpdateEvent};
 use proptest::prelude::*;
@@ -160,6 +167,134 @@ fn mid_batch_failure_commits_exactly_the_looped_prefix() {
     }
 }
 
+/// A state fingerprint finer than the sampled serve digest: the serve
+/// digest, plus every user's followees, posted tweets and follower count —
+/// over the dataset's users and every uid `events` name.
+fn state_fingerprint(e: &dyn MicroblogEngine, ds: &Dataset, events: &[UpdateEvent]) -> u64 {
+    let mut uids: Vec<i64> = ds.users.iter().map(|u| u.uid as i64).collect();
+    for event in events {
+        match event {
+            UpdateEvent::NewUser { uid, .. } => uids.push(*uid as i64),
+            UpdateEvent::NewFollow { follower, followee } => {
+                uids.extend([*follower as i64, *followee as i64])
+            }
+            UpdateEvent::NewTweet { uid, mentions, .. } => {
+                uids.push(*uid as i64);
+                uids.extend(mentions.iter().map(|&m| m as i64));
+            }
+        }
+    }
+    uids.sort_unstable();
+    uids.dedup();
+    let followees: Vec<_> = uids.iter().map(|&u| e.followees(u).unwrap()).collect();
+    // Q1.1 at every threshold up to the largest count pins every count.
+    let over: Vec<_> = (-1..)
+        .map(|t| e.users_with_followers_over(t).unwrap())
+        .take_while(|above| !above.is_empty())
+        .collect();
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    serve(e, &serve_config()).unwrap().digest().hash(&mut h);
+    (followees, e.posted_tweets_kernel(&uids).unwrap(), over).hash(&mut h);
+    h.finish()
+}
+
+/// The looped oracle for one batch: `apply_event` per event, stopping at
+/// the first failure, whose error text it returns.
+fn looped_until_error(e: &dyn MicroblogEngine, batch: &[UpdateEvent]) -> Option<String> {
+    batch.iter().find_map(|event| e.apply_event(event).err().map(|err| err.to_string()))
+}
+
+/// The first uid at or past `from` that `pick` accepts under `shards`.
+fn uid_where(from: u64, shards: usize, pick: impl Fn(usize) -> bool) -> u64 {
+    (from..).find(|&u| pick(shard_of(u as i64, shards))).expect("some uid qualifies")
+}
+
+#[test]
+fn sharded_mid_batch_failure_commits_exactly_the_looped_prefix() {
+    // The compiled sharded batch (validate users, one op list per shard,
+    // tag checks on the home shard) must fail with the looped oracle's
+    // error text and leave exactly the looped prefix's state — the same
+    // serve digest and per-user state as the looped feed of the same
+    // composition and of the monolith — for every kind of poison,
+    // wherever it sits in the batch.
+    let (ds, g) = dataset(506, "sharded-midfail");
+    let files = ds.write_csv(&g.0.join("csv")).unwrap();
+    let good = stream(&ds, 506, 40);
+    let (home, tag) = (ds.users[0].uid, ds.hashtags[0].clone());
+    for shards in [2usize, 4] {
+        let home_shard = shard_of(home as i64, shards);
+        let foreign = ds
+            .users
+            .iter()
+            .map(|u| u.uid)
+            .find(|&u| shard_of(u as i64, shards) != home_shard)
+            .expect("a user on another shard");
+        let poisons: [(&str, Vec<UpdateEvent>); 4] = [
+            (
+                "unknown follower on the followee's shard",
+                vec![UpdateEvent::NewFollow {
+                    follower: uid_where(9_000_000, shards, |s| s == home_shard),
+                    followee: home,
+                }],
+            ),
+            (
+                "unknown follower on another shard",
+                vec![UpdateEvent::NewFollow {
+                    follower: uid_where(9_000_000, shards, |s| s != home_shard),
+                    followee: home,
+                }],
+            ),
+            (
+                "unknown mention on a cross-shard tweet",
+                vec![UpdateEvent::NewTweet {
+                    tid: 8_000_001,
+                    uid: home,
+                    text: "poison".into(),
+                    mentions: vec![foreign, 9_999_999],
+                    tags: vec![tag.clone()],
+                }],
+            ),
+            (
+                "unknown hashtag, then a cross-shard follow",
+                vec![
+                    UpdateEvent::NewTweet {
+                        tid: 8_000_002,
+                        uid: home,
+                        text: "poison".into(),
+                        mentions: vec![],
+                        tags: vec![tag.clone(), "no-such-tag".into()],
+                    },
+                    UpdateEvent::NewFollow { follower: home, followee: foreign },
+                ],
+            ),
+        ];
+        for (case, poison) in &poisons {
+            for split in [0usize, 17, 39] {
+                let mut batch = good.clone();
+                batch.splice(split..split, poison.iter().cloned());
+                let (arbor, bit, _) = build_engines(&files).unwrap();
+                let dir = |tag: &str| g.0.join(format!("{shards}-{split}-{tag}"));
+                let (arbor_b, bit_b) = build_sharded_engines(&ds, &dir("batched"), shards).unwrap();
+                let (arbor_l, bit_l) = build_sharded_engines(&ds, &dir("looped"), shards).unwrap();
+                for (mono, batched, looped) in [
+                    (&arbor as &dyn MicroblogEngine, &arbor_b, &arbor_l),
+                    (&bit, &bit_b, &bit_l),
+                ] {
+                    let at = format!("{} at {shards} shards, split {split}: {case}", batched.name());
+                    let batch_err = batched.apply_event_batch(&batch).unwrap_err().to_string();
+                    let loop_err = looped_until_error(looped, &batch);
+                    assert_eq!(Some(&batch_err), loop_err.as_ref(), "{at}: error texts differ");
+                    assert_eq!(looped_until_error(mono, &batch), loop_err, "{at}: monolith error");
+                    let state = |e: &dyn MicroblogEngine| state_fingerprint(e, &ds, &batch);
+                    let d = state(batched);
+                    assert_eq!(d, state(looped), "{at}: not the looped prefix state");
+                    assert_eq!(d, state(mono), "{at}: not the monolith's looped prefix state");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn readers_only_observe_batch_atomic_states_during_burst() {
     // A writer lands batches of exactly K follows for one fresh user while
@@ -251,6 +386,29 @@ fn chaos_retries_never_double_apply_batches() {
     }
 }
 
+/// An invalid event of kind `kind` (unknown follower, unknown followee,
+/// unknown poster, unknown mention, unknown hashtag), built around the
+/// dataset's users so its valid references spread across shards.
+fn poison(ds: &Dataset, kind: usize, pos: usize) -> UpdateEvent {
+    let valid = ds.users[pos % ds.users.len()].uid;
+    let other = ds.users[(pos * 7 + 3) % ds.users.len()].uid;
+    let unknown = 9_000_000 + pos as u64;
+    let tweet = |uid, mentions: Vec<u64>, tags: Vec<String>| UpdateEvent::NewTweet {
+        tid: 8_000_000 + pos as u64,
+        uid,
+        text: "poison".into(),
+        mentions,
+        tags,
+    };
+    match kind {
+        0 => UpdateEvent::NewFollow { follower: unknown, followee: valid },
+        1 => UpdateEvent::NewFollow { follower: valid, followee: unknown },
+        2 => tweet(unknown, vec![other], vec![]),
+        3 => tweet(valid, vec![other, unknown], vec![]),
+        _ => tweet(valid, vec![other], vec![ds.hashtags[0].clone(), "no-such-tag".into()]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -274,6 +432,45 @@ proptest! {
             prop_assert_eq!(
                 d_batched, d_looped,
                 "{}: batch size {} changed the served answers", batched.name(), batch
+            );
+        }
+    }
+
+    /// Compiled sharded batches ≡ the looped `apply_event` feed of the same
+    /// composition, for random streams salted with invalid events of every
+    /// kind, across both backends, 2 and 4 shards and R ∈ {1, 2}: the same
+    /// error text per batch and the same state after the stream (serve digest
+    /// plus a per-user fingerprint).
+    #[test]
+    fn prop_compiled_equals_looped(
+        seed in 700u64..740,
+        wide in any::<bool>(),
+        replicas in 1usize..3,
+        batch in 1usize..48,
+        poisons in prop::collection::vec((0usize..120, 0usize..5), 1..6),
+    ) {
+        let shards = if wide { 4 } else { 2 };
+        let (ds, g) = dataset(seed, "prop-compiled");
+        let mut events = stream(&ds, seed, 120);
+        for &(pos, kind) in &poisons {
+            events.insert(pos.min(events.len()), poison(&ds, kind, pos));
+        }
+        let (arbor_b, bit_b) =
+            build_replicated_engines(&ds, &g.0.join("batched"), shards, replicas).unwrap();
+        let (arbor_l, bit_l) =
+            build_replicated_engines(&ds, &g.0.join("looped"), shards, replicas).unwrap();
+        for (batched, looped) in [(&arbor_b, &arbor_l), (&bit_b, &bit_l)] {
+            for (i, chunk) in events.chunks(batch).enumerate() {
+                let err = batched.apply_event_batch(chunk).err().map(|e| e.to_string());
+                prop_assert_eq!(
+                    err, looped_until_error(looped, chunk),
+                    "{}: batch {} (size {}) failed differently", batched.name(), i, batch
+                );
+            }
+            prop_assert_eq!(
+                state_fingerprint(batched, &ds, &events),
+                state_fingerprint(looped, &ds, &events),
+                "{}: compiled batches of {} left another state", batched.name(), batch
             );
         }
     }
