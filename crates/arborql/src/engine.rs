@@ -7,55 +7,19 @@
 //! Cypher to cache the execution plans".
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
 
 use arbordb::db::GraphDb;
 use micrograph_common::stats::Timer;
 use micrograph_common::Value;
 use parking_lot::Mutex;
 
-use crate::exec::{execute, ExecContext};
+use crate::exec::ExecContext;
 use crate::parser::parse;
 use crate::plan::{plan, Plan, PlannerOptions};
 use crate::vexec::execute_vec;
 use crate::Result;
-
-/// Which executor runs a plan. A pure performance toggle: flipping it must
-/// never move a byte of any answer — the tuple interpreter is the semantic
-/// oracle the vectorized operators are pinned against (DESIGN.md §4g).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Batched operators over ID chunks (the default).
-    #[default]
-    Vectorized,
-    /// The row-at-a-time reference interpreter.
-    Tuple,
-}
-
-impl ExecMode {
-    /// Stable numeric encoding (for atomics).
-    pub fn to_u8(self) -> u8 {
-        match self {
-            ExecMode::Vectorized => 0,
-            ExecMode::Tuple => 1,
-        }
-    }
-
-    /// Inverse of [`ExecMode::to_u8`] (unknown values decode as the default).
-    pub fn from_u8(v: u8) -> Self {
-        if v == 1 { ExecMode::Tuple } else { ExecMode::Vectorized }
-    }
-
-    /// Lower-case label for reports and bench axes.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecMode::Vectorized => "vectorized",
-            ExecMode::Tuple => "tuple",
-        }
-    }
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,20 +28,12 @@ pub struct EngineOptions {
     pub planner: PlannerOptions,
     /// Enable the plan cache.
     pub plan_cache: bool,
-    /// Initial executor (runtime-switchable via
-    /// [`QueryEngine::set_exec_mode`]).
-    pub exec: ExecMode,
 }
 
 impl EngineOptions {
-    /// The default production configuration: cache on, pushdowns on,
-    /// vectorized execution.
+    /// The default production configuration: cache on, pushdowns on.
     pub fn standard() -> Self {
-        EngineOptions {
-            planner: PlannerOptions::default(),
-            plan_cache: true,
-            exec: ExecMode::Vectorized,
-        }
+        EngineOptions { planner: PlannerOptions::default(), plan_cache: true }
     }
 }
 
@@ -153,7 +109,6 @@ pub struct QueryEngine {
     cache: Mutex<HashMap<String, Arc<Plan>>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    exec_mode: AtomicU8,
 }
 
 impl QueryEngine {
@@ -170,19 +125,7 @@ impl QueryEngine {
             cache: Mutex::new(HashMap::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            exec_mode: AtomicU8::new(options.exec.to_u8()),
         }
-    }
-
-    /// The currently active executor.
-    pub fn exec_mode(&self) -> ExecMode {
-        ExecMode::from_u8(self.exec_mode.load(Ordering::Relaxed))
-    }
-
-    /// Switches the executor at runtime (a pure performance toggle; answers
-    /// are byte-identical in both modes).
-    pub fn set_exec_mode(&self, mode: ExecMode) {
-        self.exec_mode.store(mode.to_u8(), Ordering::Relaxed);
     }
 
     /// The underlying database.
@@ -211,7 +154,7 @@ impl QueryEngine {
     /// Runs `text` with `params`, returning rows and statistics.
     pub fn query(&self, text: &str, params: &[(&str, Value)]) -> Result<QueryResult> {
         let (plan, plan_cached, plan_ms) = self.plan_for(text)?;
-        self.run_plan(&plan, plan_cached, plan_ms, params)
+        Ok(self.run_plan(&plan, plan_cached, plan_ms, params, 0)?.0)
     }
 
     /// Parses and plans `text` once for repeated execution via
@@ -224,16 +167,19 @@ impl QueryEngine {
     /// Runs a prepared query; identical results to [`QueryEngine::query`]
     /// on the same text.
     pub fn query_prepared(&self, prepared: &Prepared, params: &[(&str, Value)]) -> Result<QueryResult> {
-        self.run_plan(&prepared.plan, true, 0.0, params)
+        Ok(self.run_plan(&prepared.plan, true, 0.0, params, 0)?.0)
     }
 
+    /// Executes `plan` with `counters` `PROFILE` counter slots, returning
+    /// the result and the counter values.
     fn run_plan(
         &self,
         plan: &Plan,
         plan_cached: bool,
         plan_ms: f64,
         params: &[(&str, Value)],
-    ) -> Result<QueryResult> {
+        counters: usize,
+    ) -> Result<(QueryResult, Vec<u64>)> {
         let params: HashMap<String, Value> =
             params.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
         // Hold the serving read latch for the whole execution (DESIGN.md
@@ -241,16 +187,13 @@ impl QueryEngine {
         // query never observes a half-applied multi-page mutation. Query
         // execution is strictly read-only — the latch cannot self-deadlock.
         let _latch = self.db.read_latch();
-        let ctx = ExecContext::new(&self.db, &params);
+        let ctx = ExecContext::new(&self.db, &params, counters);
         let hits_before = self.db.stats().db_hits();
         let timer = Timer::start();
-        let rows = match self.exec_mode() {
-            ExecMode::Vectorized => execute_vec(plan, &ctx)?,
-            ExecMode::Tuple => execute(plan, &ctx)?,
-        };
+        let rows = execute_vec(plan, &ctx)?;
         let exec_ms = timer.elapsed_ms();
         let db_hits = self.db.stats().db_hits().saturating_sub(hits_before);
-        Ok(QueryResult {
+        let result = QueryResult {
             columns: plan.columns.clone(),
             stats: QueryStats {
                 db_hits,
@@ -260,7 +203,8 @@ impl QueryEngine {
                 exec_ms,
             },
             rows,
-        })
+        };
+        Ok((result, ctx.take_counters()))
     }
 
     /// Runs `text` under the profiler: per-operator row counts plus the
@@ -270,32 +214,9 @@ impl QueryEngine {
     pub fn profile(&self, text: &str, params: &[(&str, Value)]) -> Result<ProfiledResult> {
         let (plan, plan_cached, plan_ms) = self.plan_for(text)?;
         let (instrumented, descs) = crate::plan::instrument(&plan);
-        let params: HashMap<String, Value> =
-            params.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
-        let ctx = ExecContext::with_counters(&self.db, &params, descs.len());
-        let hits_before = self.db.stats().db_hits();
-        let timer = Timer::start();
-        let rows = match self.exec_mode() {
-            ExecMode::Vectorized => execute_vec(&instrumented, &ctx)?,
-            ExecMode::Tuple => execute(&instrumented, &ctx)?,
-        };
-        let exec_ms = timer.elapsed_ms();
-        let db_hits = self.db.stats().db_hits().saturating_sub(hits_before);
-        let counts = ctx.take_counters();
-        Ok(ProfiledResult {
-            result: QueryResult {
-                columns: plan.columns.clone(),
-                stats: QueryStats {
-                    db_hits,
-                    rows: rows.len() as u64,
-                    plan_cached,
-                    plan_ms,
-                    exec_ms,
-                },
-                rows,
-            },
-            operators: descs.into_iter().zip(counts).collect(),
-        })
+        let (result, counts) =
+            self.run_plan(&instrumented, plan_cached, plan_ms, params, descs.len())?;
+        Ok(ProfiledResult { result, operators: descs.into_iter().zip(counts).collect() })
     }
 
     /// Returns the plan tree for `text` without executing (EXPLAIN).

@@ -1,4 +1,9 @@
-//! Push-based plan execution.
+//! Push-based, row-at-a-time plan execution: the reference interpreter.
+//!
+//! [`crate::vexec::execute_vec`] is the executor the engine runs; this
+//! module's [`execute`] is the semantic oracle tests compare it against,
+//! plan for plan. It also holds the expression evaluator and comparators
+//! both executors share.
 //!
 //! Every operator pushes rows into its parent through a sink callback that
 //! can signal early termination — which is what makes `LIMIT` (and the TopN
@@ -47,32 +52,27 @@ pub struct ExecContext<'a> {
     /// `(node, rel type or MAX, direction)`.
     memo: RefCell<HashMap<(NodeId, u32, u8), HashSet<NodeId>>>,
     /// `PROFILE` row counters, indexed by `Op::Counter` id.
-    pub(crate) counters: Option<RefCell<Vec<u64>>>,
+    pub(crate) counters: RefCell<Vec<u64>>,
 }
 
 impl<'a> ExecContext<'a> {
-    /// Creates a context.
-    pub fn new(db: &'a GraphDb, params: &'a HashMap<String, Value>) -> Self {
-        ExecContext { db, params, memo: RefCell::new(HashMap::new()), counters: None }
-    }
-
-    /// Creates a profiling context with `n` counter slots.
-    pub fn with_counters(db: &'a GraphDb, params: &'a HashMap<String, Value>, n: usize) -> Self {
-        ExecContext {
-            db,
-            params,
-            memo: RefCell::new(HashMap::new()),
-            counters: Some(RefCell::new(vec![0; n])),
-        }
+    /// Creates a context with `counters` `PROFILE` counter slots (one per
+    /// `Op::Counter` of an instrumented plan; 0 for a plain plan).
+    pub fn new(db: &'a GraphDb, params: &'a HashMap<String, Value>, counters: usize) -> Self {
+        let (memo, counters) = (RefCell::new(HashMap::new()), RefCell::new(vec![0; counters]));
+        ExecContext { db, params, memo, counters }
     }
 
     /// Takes the counter values after execution.
     pub fn take_counters(&self) -> Vec<u64> {
-        self.counters.as_ref().map(|c| c.borrow().clone()).unwrap_or_default()
+        self.counters.take()
     }
 }
 
-/// Executes `plan`, returning result rows as plain values.
+/// Executes `plan` one row at a time, returning result rows as plain
+/// values. The reference that tests compare
+/// [`crate::vexec::execute_vec`] against on the same plan; nothing serves
+/// through it.
 pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Vec<Value>>> {
     let mut out = Vec::new();
     let row: Row = vec![Slot::Empty; plan.slots.max(plan.columns.len())];
@@ -483,9 +483,7 @@ fn run(op: &Op, ctx: &ExecContext<'_>, row: Row, sink: &mut Sink<'_>) -> Result<
             Ok(true)
         }
         Op::Counter { input, id } => run(input, ctx, row, &mut |r: &Row| {
-            if let Some(c) = &ctx.counters {
-                c.borrow_mut()[*id] += 1;
-            }
+            ctx.counters.borrow_mut()[*id] += 1;
             sink(r)
         }),
     }

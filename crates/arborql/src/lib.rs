@@ -17,8 +17,11 @@
 //!   expansion from the bound side, predicate pushdown, and the
 //!   **TopN pushdown** (`ORDER BY`+`LIMIT` fused into a bounded heap) that
 //!   Section 4's "overhead for aggregate operations" discussion concerns.
-//! * [`exec`] — a push-based executor with early termination and a
-//!   profiler that reports **db hits** (buffer-pool accesses).
+//! * [`vexec`] — the executor: operators push ID batches through the plan
+//!   with early termination, and a profiler reports **db hits**
+//!   (buffer-pool accesses) and per-operator row counts.
+//! * [`exec`] — the row-at-a-time reference interpreter that tests compare
+//!   [`vexec`] against; nothing serves through it.
 //! * [`engine`] — [`engine::QueryEngine`]: the session facade with the
 //!   **plan cache** ("a good speedup can be achieved by specifying
 //!   parameters, because it allows caching the execution plans").
@@ -34,7 +37,7 @@ pub mod plan;
 pub mod token;
 pub mod vexec;
 
-pub use engine::{EngineOptions, ExecMode, Prepared, QueryEngine, QueryResult, QueryStats};
+pub use engine::{EngineOptions, Prepared, QueryEngine, QueryResult, QueryStats};
 pub use plan::PlannerOptions;
 pub use micrograph_common::Value;
 

@@ -8,11 +8,14 @@
 //! closure dispatch, and per-row dictionary lookups — are paid once per
 //! batch or once per query instead.
 //!
-//! The tuple interpreter stays the semantic oracle: for every plan and
-//! parameter binding, this module must produce byte-identical rows in the
-//! same order (grouped [`Op::Aggregate`] iterates a `HashMap`, whose order
-//! both executors may only expose through a downstream sort). The
-//! `ExecMode`-flip digest tests in `tests/vectorized_exec.rs` pin that.
+//! This is the executor the engine runs. The tuple interpreter
+//! ([`crate::exec::execute`]) stays as its semantic oracle: for every plan
+//! and parameter binding, this module must produce byte-identical rows in
+//! the same order (grouped [`Op::Aggregate`] iterates a `HashMap`, whose
+//! order both executors may only expose through a downstream sort) and
+//! equal per-operator `PROFILE` counts. The generative differential in
+//! `tests/prop_ql.rs` and the workload-text test in `micrograph-core`'s
+//! arbordb adapter run both executors on one plan and pin that.
 
 use std::collections::{HashMap, HashSet};
 
@@ -748,9 +751,7 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             emit_rows(&outs, sink)
         }
         Op::Counter { input, id } => run_vec(input, ctx, width, &mut |b: &mut Batch| {
-            if let Some(c) = &ctx.counters {
-                c.borrow_mut()[*id] += b.len() as u64;
-            }
+            ctx.counters.borrow_mut()[*id] += b.len() as u64;
             sink(b)
         }),
     }
@@ -968,11 +969,13 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineOptions, ExecMode, QueryEngine};
+    use crate::engine::QueryEngine;
+    use crate::exec::execute;
+    use crate::plan::instrument;
     use arbordb::db::DbConfig;
     use std::sync::Arc;
 
-    fn sample_db() -> Arc<GraphDb> {
+    fn sample_db(indexed: bool) -> Arc<GraphDb> {
         let db = GraphDb::open_memory(DbConfig::default()).unwrap();
         let mut tx = db.begin_write().unwrap();
         let users: Vec<_> = (0..40i64)
@@ -984,8 +987,21 @@ mod tests {
             }
         }
         tx.commit().unwrap();
-        db.create_index("user", "uid").unwrap();
+        if indexed {
+            db.create_index("user", "uid").unwrap();
+        }
         Arc::new(db)
+    }
+
+    type Outcome = std::result::Result<Vec<Vec<Value>>, String>;
+
+    /// Runs `plan` through the reference interpreter and the vectorized
+    /// executor against `db`, each outcome as rows or error text.
+    fn both(plan: &Plan, db: &GraphDb) -> (Outcome, Outcome) {
+        let params = HashMap::new();
+        let tuple = execute(plan, &ExecContext::new(db, &params, 0)).map_err(|e| e.to_string());
+        let vec = execute_vec(plan, &ExecContext::new(db, &params, 0)).map_err(|e| e.to_string());
+        (tuple, vec)
     }
 
     const QUERIES: &[&str] = &[
@@ -1004,56 +1020,52 @@ mod tests {
 
     #[test]
     fn vectorized_matches_tuple_on_query_mix() {
-        let db = sample_db();
-        let ql = QueryEngine::new(db);
+        let db = sample_db(true);
+        let ql = QueryEngine::new(db.clone());
         for q in QUERIES {
-            ql.set_exec_mode(ExecMode::Tuple);
-            let tuple = ql.query(q, &[]).unwrap();
-            ql.set_exec_mode(ExecMode::Vectorized);
-            let vec = ql.query(q, &[]).unwrap();
-            assert_eq!(tuple.rows, vec.rows, "mode flip moved bytes for {q}");
-            assert_eq!(tuple.columns, vec.columns);
+            let (tuple, vec) = both(ql.prepare(q).unwrap().plan(), &db);
+            assert_eq!(tuple, vec, "executors disagree on {q}");
+            assert!(tuple.is_ok(), "{q}: {tuple:?}");
         }
     }
 
     #[test]
     fn vectorized_profile_counts_match_tuple() {
-        let db = sample_db();
-        let ql = QueryEngine::new(db);
-        let q = "MATCH (a:user {uid: 3})-[:follows]->(f) RETURN f.uid ORDER BY f.uid";
-        ql.set_exec_mode(ExecMode::Tuple);
-        let tuple = ql.profile(q, &[]).unwrap();
-        ql.set_exec_mode(ExecMode::Vectorized);
-        let vec = ql.profile(q, &[]).unwrap();
-        assert_eq!(tuple.operators, vec.operators, "per-operator row counts must agree");
-        assert_eq!(tuple.result.rows, vec.result.rows);
-    }
-
-    #[test]
-    fn default_mode_is_vectorized() {
-        let db = sample_db();
+        let db = sample_db(true);
         let ql = QueryEngine::new(db.clone());
-        assert_eq!(ql.exec_mode(), ExecMode::Vectorized);
-        let tuple_only =
-            QueryEngine::with_options(db, EngineOptions { exec: ExecMode::Tuple, ..EngineOptions::standard() });
-        assert_eq!(tuple_only.exec_mode(), ExecMode::Tuple);
+        let q = "MATCH (a:user {uid: 3})-[:follows]->(f) RETURN f.uid ORDER BY f.uid";
+        let (plan, descs) = instrument(ql.prepare(q).unwrap().plan());
+        let params = HashMap::new();
+        let ctx = ExecContext::new(&db, &params, descs.len());
+        let tuple = execute(&plan, &ctx).unwrap();
+        let tuple_counts = ctx.take_counters();
+        let ctx = ExecContext::new(&db, &params, descs.len());
+        let vec = execute_vec(&plan, &ctx).unwrap();
+        assert_eq!(tuple_counts, ctx.take_counters(), "per-operator row counts must agree");
+        assert_eq!(tuple, vec);
     }
 
     #[test]
     fn missing_index_errors_like_tuple() {
-        let db = GraphDb::open_memory(DbConfig::default()).unwrap();
-        let mut tx = db.begin_write().unwrap();
-        tx.create_node("user", &[("uid", Value::Int(1))]).unwrap();
-        tx.commit().unwrap();
-        let ql = QueryEngine::new(Arc::new(db));
-        // Plan with a property whose (label, key) is never indexed: the
-        // planner emits a LabelScan + Filter, so force a seek via a WHERE-less
-        // inline prop on an indexed-looking pattern is not possible here;
-        // instead check both modes agree the query still answers.
-        ql.set_exec_mode(ExecMode::Tuple);
-        let t = ql.query("MATCH (a:user {uid: 1}) RETURN a.uid", &[]).unwrap();
-        ql.set_exec_mode(ExecMode::Vectorized);
-        let v = ql.query("MATCH (a:user {uid: 1}) RETURN a.uid", &[]).unwrap();
-        assert_eq!(t.rows, v.rows);
+        // Plans are prepared where the uid index exists (so the planner
+        // emits each seek) and executed against an identical store without
+        // it: both executors must refuse with the same error text.
+        let indexed = QueryEngine::new(sample_db(true));
+        let bare = sample_db(false);
+        for (q, seek) in [
+            ("MATCH (a:user {uid: 3}) RETURN a.uid", "NodeIndexSeek"),
+            ("MATCH (a:user) WHERE a.uid IN [3, 1, 3] RETURN a.uid", "NodeIdInSeek"),
+            ("MATCH (a:user) WHERE a.uid > 30 RETURN a.uid", "NodeIndexRangeSeek"),
+        ] {
+            let plan = indexed.prepare(q).unwrap();
+            assert!(plan.plan().explain().contains(seek), "{q} planned no {seek}");
+            let (tuple, vec) = both(plan.plan(), &bare);
+            assert_eq!(tuple, vec, "{q}");
+            assert_eq!(
+                tuple,
+                Err("planning error: no index on (:user {uid}) at execution time".to_owned()),
+                "{q}"
+            );
+        }
     }
 }

@@ -726,8 +726,8 @@ fn recommendation_via_with_matches_canonical() {
 fn range_seek_matches_scan_filter_in_both_modes() {
     // Two engines over structurally identical data: one with a followers
     // index (range predicates become NodeIndexRangeSeek), one without
-    // (label scan + filter). Every comparison, both orientations, and both
-    // executors must agree row-for-row.
+    // (label scan + filter). Every comparison and both orientations must
+    // agree row-for-row.
     let indexed = fixture();
     indexed.db.create_index("user", "followers").unwrap();
     let plain = fixture();
@@ -741,22 +741,18 @@ fn range_seek_matches_scan_filter_in_both_modes() {
          RETURN u.uid ORDER BY u.uid",
         "MATCH (u:user) WHERE u.followers > $th RETURN count(*)",
     ];
-    for mode in [arbor_ql::ExecMode::Tuple, arbor_ql::ExecMode::Vectorized] {
-        let ql_i = QueryEngine::new(indexed.db.clone());
-        let ql_p = QueryEngine::new(plain.db.clone());
-        ql_i.set_exec_mode(mode);
-        ql_p.set_exec_mode(mode);
-        for q in queries {
-            for th in [-1i64, 0, 100, 250, 500, 1000] {
-                let a = ql_i.query(q, &[("th", Value::Int(th))]).unwrap();
-                let b = ql_p.query(q, &[("th", Value::Int(th))]).unwrap();
-                assert_eq!(a.rows, b.rows, "mode {mode:?}, query {q}, th {th}");
-            }
-            // A null bound matches nothing on either path.
-            let a = ql_i.query(q, &[("th", Value::Null)]).unwrap();
-            let b = ql_p.query(q, &[("th", Value::Null)]).unwrap();
-            assert_eq!(a.rows, b.rows, "null bound, mode {mode:?}, query {q}");
+    let ql_i = QueryEngine::new(indexed.db.clone());
+    let ql_p = QueryEngine::new(plain.db.clone());
+    for q in queries {
+        for th in [-1i64, 0, 100, 250, 500, 1000] {
+            let a = ql_i.query(q, &[("th", Value::Int(th))]).unwrap();
+            let b = ql_p.query(q, &[("th", Value::Int(th))]).unwrap();
+            assert_eq!(a.rows, b.rows, "query {q}, th {th}");
         }
+        // A null bound matches nothing on either path.
+        let a = ql_i.query(q, &[("th", Value::Null)]).unwrap();
+        let b = ql_p.query(q, &[("th", Value::Null)]).unwrap();
+        assert_eq!(a.rows, b.rows, "null bound, query {q}");
     }
 }
 
@@ -777,8 +773,8 @@ fn range_seek_tracks_live_follower_updates() {
 #[test]
 fn in_seek_matches_filter_in_both_modes() {
     // Same data, two planners: pushdown on (IN becomes NodeIdInSeek over the
-    // uid index) vs pushdown off (scan + Filter membership). Both exec modes
-    // must agree row-for-row on every list shape.
+    // uid index) vs pushdown off (scan + Filter membership). Both must
+    // agree row-for-row on every list shape.
     let f = fixture();
     let seek = QueryEngine::new(f.db.clone());
     let filt = QueryEngine::with_options(
@@ -799,20 +795,16 @@ fn in_seek_matches_filter_in_both_modes() {
         vec![Value::Null, Value::Int(5)],
         vec![],
     ];
-    for mode in [arbor_ql::ExecMode::Tuple, arbor_ql::ExecMode::Vectorized] {
-        seek.set_exec_mode(mode);
-        filt.set_exec_mode(mode);
-        for list in lists {
-            let p = [("uids", Value::List(list.clone()))];
-            let a = seek.query(q, &p).unwrap();
-            let b = filt.query(q, &p).unwrap();
-            assert_eq!(a.rows, b.rows, "mode {mode:?}, list {list:?}");
-        }
-        // Null list behaves like an empty one on both paths.
-        let p = [("uids", Value::Null)];
-        assert!(seek.query(q, &p).unwrap().rows.is_empty());
-        assert!(filt.query(q, &p).unwrap().rows.is_empty());
+    for list in lists {
+        let p = [("uids", Value::List(list.clone()))];
+        let a = seek.query(q, &p).unwrap();
+        let b = filt.query(q, &p).unwrap();
+        assert_eq!(a.rows, b.rows, "list {list:?}");
     }
+    // Null list behaves like an empty one on both paths.
+    let p = [("uids", Value::Null)];
+    assert!(seek.query(q, &p).unwrap().rows.is_empty());
+    assert!(filt.query(q, &p).unwrap().rows.is_empty());
 }
 
 #[test]
@@ -822,36 +814,33 @@ fn in_seek_drives_multi_hop_kernels() {
     // drift if the seek emitted an anchor twice).
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
-    for mode in [arbor_ql::ExecMode::Tuple, arbor_ql::ExecMode::Vectorized] {
-        ql.set_exec_mode(mode);
-        let r = ql
-            .query(
-                "MATCH (a:user)-[:posts]->(t:tweet) WHERE a.uid IN $uids \
-                 RETURN a.uid, t.tid ORDER BY a.uid, t.tid",
-                &[("uids", Value::from(&[3i64, 1, 1][..]))],
-            )
-            .unwrap();
-        let pairs: Vec<(i64, i64)> = r
-            .rows
-            .iter()
-            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
-            .collect();
-        assert_eq!(pairs, vec![(1, 1), (1, 4), (3, 3)], "mode {mode:?}");
+    let r = ql
+        .query(
+            "MATCH (a:user)-[:posts]->(t:tweet) WHERE a.uid IN $uids \
+             RETURN a.uid, t.tid ORDER BY a.uid, t.tid",
+            &[("uids", Value::from(&[3i64, 1, 1][..]))],
+        )
+        .unwrap();
+    let pairs: Vec<(i64, i64)> = r
+        .rows
+        .iter()
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+        .collect();
+    assert_eq!(pairs, vec![(1, 1), (1, 4), (3, 3)]);
 
-        let counts = ql
-            .query(
-                "MATCH (a:user)-[:follows]->(f:user) WHERE a.uid IN [2, 1, 2] \
-                 RETURN a.uid, count(*) AS c ORDER BY a.uid",
-                &[],
-            )
-            .unwrap();
-        let tallies: Vec<(i64, i64)> = counts
-            .rows
-            .iter()
-            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
-            .collect();
-        assert_eq!(tallies, vec![(1, 2), (2, 2)], "mode {mode:?}");
-    }
+    let counts = ql
+        .query(
+            "MATCH (a:user)-[:follows]->(f:user) WHERE a.uid IN [2, 1, 2] \
+             RETURN a.uid, count(*) AS c ORDER BY a.uid",
+            &[],
+        )
+        .unwrap();
+    let tallies: Vec<(i64, i64)> = counts
+        .rows
+        .iter()
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+        .collect();
+    assert_eq!(tallies, vec![(1, 2), (2, 2)]);
 }
 
 #[test]
@@ -889,32 +878,26 @@ fn in_seek_plan_shape_and_estimate() {
 fn in_empty_list_yields_empty_not_error() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
-    for mode in [arbor_ql::ExecMode::Tuple, arbor_ql::ExecMode::Vectorized] {
-        ql.set_exec_mode(mode);
-        let r = ql
-            .query(
-                "MATCH (u:user) WHERE u.uid IN $uids RETURN u.uid",
-                &[("uids", Value::List(vec![]))],
-            )
-            .unwrap();
-        assert!(r.rows.is_empty(), "mode {mode:?}");
-        let r = ql.query("MATCH (u:user) WHERE u.uid IN [] RETURN u.uid", &[]).unwrap();
-        assert!(r.rows.is_empty(), "mode {mode:?}");
-    }
+    let r = ql
+        .query(
+            "MATCH (u:user) WHERE u.uid IN $uids RETURN u.uid",
+            &[("uids", Value::List(vec![]))],
+        )
+        .unwrap();
+    assert!(r.rows.is_empty());
+    let r = ql.query("MATCH (u:user) WHERE u.uid IN [] RETURN u.uid", &[]).unwrap();
+    assert!(r.rows.is_empty());
 }
 
 #[test]
 fn in_non_list_operand_is_a_plan_error() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
-    for mode in [arbor_ql::ExecMode::Tuple, arbor_ql::ExecMode::Vectorized] {
-        ql.set_exec_mode(mode);
-        let err = ql
-            .query(
-                "MATCH (u:user) WHERE u.uid IN $uids RETURN u.uid",
-                &[("uids", Value::Int(3))],
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("IN requires a list"), "mode {mode:?}: {err}");
-    }
+    let err = ql
+        .query(
+            "MATCH (u:user) WHERE u.uid IN $uids RETURN u.uid",
+            &[("uids", Value::Int(3))],
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("IN requires a list"), "{err}");
 }

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use arbor_ql::{EngineOptions, ExecMode, Prepared, QueryEngine};
+use arbor_ql::{EngineOptions, Prepared, QueryEngine};
 use arbordb::db::GraphDb;
 use arbordb::traversal::{shortest_path, Traversal};
 use arbordb::{Direction, NodeId, Value};
@@ -783,13 +783,73 @@ impl MicroblogEngine for ArborEngine {
         self.db.evict_caches()?;
         Ok(())
     }
+}
 
-    fn exec_mode(&self) -> Option<ExecMode> {
-        Some(self.ql.exec_mode())
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arbor_ql::exec::{execute, ExecContext};
+    use arbor_ql::vexec::execute_vec;
+    use micrograph_common::rng::SplitMix64;
+    use micrograph_datagen::{generate, GenConfig};
 
-    fn set_exec_mode(&self, mode: ExecMode) -> bool {
-        self.ql.set_exec_mode(mode);
-        true
+    #[test]
+    fn every_adapter_text_runs_alike_through_both_executors() {
+        // The tuple interpreter is the reference for the vectorized
+        // executor the engine serves through: on every text the adapter
+        // prepares, one plan must give byte-identical rows (or the same
+        // error) in both, for sampled parameters (half the uids are
+        // mentioned users, so Q3/Q5 have rows) and for empty, duplicate
+        // and null `$uids` lists.
+        let texts = [
+            Q1_1, Q2_1, Q2_2, Q2_3, Q3_1, Q3_2, Q4_1_A, Q4_1_B, Q4_1_C, Q4_2, Q5_1, Q5_2,
+            TWEETS_WITH_TAG, RETWEET_COUNT, POSTER_OF, K_POSTED_BATCH, K_TAGS_BATCH,
+            K_OUT_COUNTS_BATCH, K_IN_COUNTS_BATCH, K_FRONTIER_BATCH, K_CO_MENTION, K_CO_TAG,
+        ];
+        let cfg = GenConfig {
+            users: 120,
+            poster_fraction: 0.3,
+            tweets_per_poster: 6,
+            with_retweets: true,
+            ..GenConfig::unit()
+        };
+        let ds = generate(&cfg);
+        let dir = micrograph_common::unique_temp_dir("core-adapter-texts");
+        let (arbor, _bit, _) = crate::ingest::build_engines(&ds.write_csv(&dir).unwrap()).unwrap();
+        let mut rng = SplitMix64::new(23);
+        let uid = |rng: &mut SplitMix64| {
+            if rng.chance(0.5) {
+                ds.mentions[rng.next_below(ds.mentions.len() as u64) as usize].1 as i64
+            } else {
+                rng.next_range(1, cfg.users + 3) as i64
+            }
+        };
+        let odd_lists = [vec![], vec![Value::Int(3); 3], vec![Value::Null, Value::Int(4)]];
+        for text in texts {
+            let plan = arbor.ql().prepare(text).unwrap();
+            let mut answered = 0;
+            for i in 0..16 {
+                let uids: Vec<Value> = match odd_lists.get(i) {
+                    Some(list) => list.clone(),
+                    None => (0..rng.next_range(1, 9)).map(|_| Value::Int(uid(&mut rng))).collect(),
+                };
+                let tid = rng.next_range(1, ds.tweets.len() as u64 + 3) as i64;
+                let params = HashMap::from([
+                    ("uid".to_owned(), Value::Int(uid(&mut rng))),
+                    ("n".to_owned(), Value::Int(rng.next_below(11) as i64)),
+                    ("tag".to_owned(), Value::from(format!("tag{}", rng.next_range(1, 17)))),
+                    ("th".to_owned(), Value::Int(rng.next_below(64) as i64)),
+                    ("tid".to_owned(), Value::Int(tid)),
+                    ("uids".to_owned(), if i == 3 { Value::Null } else { Value::List(uids) }),
+                ]);
+                let tuple = execute(plan.plan(), &ExecContext::new(&arbor.db, &params, 0));
+                let vec = execute_vec(plan.plan(), &ExecContext::new(&arbor.db, &params, 0));
+                let tuple = tuple.map_err(|e| e.to_string());
+                assert_eq!(tuple, vec.map_err(|e| e.to_string()), "{text} with {params:?}");
+                answered += usize::from(tuple.is_ok_and(|rows| !rows.is_empty()));
+            }
+            assert!(answered > 0, "vacuous: no binding of {text} returned a row");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

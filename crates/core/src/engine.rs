@@ -97,6 +97,20 @@ pub enum WriteMode {
     Snapshot,
 }
 
+/// A former executor toggle for the arbordb backend, no longer settable:
+/// ArborQL always runs the vectorized executor (DESIGN.md §4g); the
+/// row-at-a-time interpreter is only the reference tests compare it
+/// against. No engine reports or accepts a mode. The type and the
+/// [`MicroblogEngine::exec_mode`]/[`MicroblogEngine::set_exec_mode`] hooks
+/// stay only because the benchmark's tracing wrapper
+/// (`perfbench/src/trace.rs`) forwards them by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Batched operators over ID chunks (the only executor).
+    #[default]
+    Vectorized,
+}
+
 impl From<arbor_ql::QlError> for CoreError {
     fn from(e: arbor_ql::QlError) -> Self {
         CoreError::Arbor(e.to_string())
@@ -460,19 +474,16 @@ pub trait MicroblogEngine: Send + Sync {
         false
     }
 
-    /// The ArborQL executor mode, when this engine is (or wraps/shards) the
-    /// declarative arbordb backend — `None` for engines with no declarative
-    /// query layer (bitgraph). Like [`MicroblogEngine::scatter_mode`], a
-    /// pure performance toggle: flipping it never moves a byte of any
-    /// answer (DESIGN.md §4g).
-    fn exec_mode(&self) -> Option<arbor_ql::ExecMode> {
+    /// Default-only hook: no engine overrides it, so it is always `None`
+    /// (ArborQL has one executor, see [`ExecMode`]). Kept for the same
+    /// reason as [`MicroblogEngine::batched_kernels`].
+    fn exec_mode(&self) -> Option<ExecMode> {
         None
     }
 
-    /// Switches the ArborQL executor at runtime, returning `false` when the
-    /// engine has no declarative query layer. `&self` like every other
-    /// method — benches flip one built engine between modes mid-run.
-    fn set_exec_mode(&self, _mode: arbor_ql::ExecMode) -> bool {
+    /// Default-only hook: always `false` (nothing to switch). Kept for the
+    /// same reason as [`MicroblogEngine::batched_kernels`].
+    fn set_exec_mode(&self, _mode: ExecMode) -> bool {
         false
     }
 

@@ -951,15 +951,6 @@ impl MicroblogEngine for ChaosEngine {
         self.inner.set_scatter_mode(mode)
     }
 
-    fn exec_mode(&self) -> Option<arbor_ql::ExecMode> {
-        self.inner.exec_mode()
-    }
-
-    fn set_exec_mode(&self, mode: arbor_ql::ExecMode) -> bool {
-        // Ungated, like the other instrumentation passthroughs.
-        self.inner.set_exec_mode(mode)
-    }
-
     fn replica_count(&self) -> Option<usize> {
         self.inner.replica_count()
     }

@@ -62,8 +62,7 @@ pub mod shard;
 pub mod workload;
 
 pub use adapters::{ArborEngine, BitEngine};
-pub use arbor_ql::ExecMode;
-pub use engine::{CoreError, MicroblogEngine, Ranked, WriteMode};
+pub use engine::{CoreError, ExecMode, MicroblogEngine, Ranked, WriteMode};
 pub use fault::{ChaosEngine, Coverage, DegradationMode, FaultPlan, FaultStats, RetryPolicy};
 pub use shard::{ScatterMode, ShardedEngine};
 pub use serve::{ServeConfig, ServeReport};

@@ -1593,24 +1593,6 @@ impl MicroblogEngine for ShardedEngine {
         true
     }
 
-    fn exec_mode(&self) -> Option<arbor_ql::ExecMode> {
-        // All replicas run the same backend; the first one speaks for all.
-        self.shards.first().and_then(|g| g.replicas.first()).and_then(|s| s.exec_mode())
-    }
-
-    fn set_exec_mode(&self, mode: arbor_ql::ExecMode) -> bool {
-        // Flip every replica of every shard (no short-circuit); succeeds
-        // only when every one has the toggle (the engine is homogeneous,
-        // so this is all-or-nothing in practice).
-        let mut ok = true;
-        for g in &self.shards {
-            for s in &g.replicas {
-                ok &= s.set_exec_mode(mode);
-            }
-        }
-        ok
-    }
-
     fn replica_count(&self) -> Option<usize> {
         Some(self.replicas)
     }

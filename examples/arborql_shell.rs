@@ -3,8 +3,7 @@
 //! introspection. Type queries; `:explain Q` shows the plan, `:describe Q`
 //! shows it with the cost-based planner's estimated cardinalities
 //! (DESIGN.md §4g), `:profile Q` runs the profiler (per-operator rows +
-//! db hits), `:stats` dumps engine counters, `:exec tuple|vectorized`
-//! switches the executor.
+//! db hits), `:stats` dumps engine counters.
 //!
 //! ```sh
 //! cargo run --release --example arborql_shell            # interactive
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("# ready: {}", dataset.stats().render_table().replace('\n', "\n# "));
     eprintln!("# schema: (:user {{uid, name, followers, verified}}), (:tweet {{tid, text}}), (:hashtag {{tag}})");
     eprintln!("# edges:  follows, posts, mentions, tags");
-    eprintln!("# commands: :explain <q>   :describe <q>   :profile <q>   :exec tuple|vectorized   :stats   :quit");
+    eprintln!("# commands: :explain <q>   :describe <q>   :profile <q>   :stats   :quit");
     eprintln!("# example: MATCH (a:user {{uid: 1}})-[:follows]->(f) RETURN f.uid LIMIT 5");
 
     let stdin = std::io::stdin();
@@ -72,18 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ok(plan) => write!(out, "{plan}")?,
                 Err(e) => writeln!(out, "error: {e}")?,
             }
-            continue;
-        }
-        if let Some(mode) = line.strip_prefix(":exec ") {
-            match mode.trim() {
-                "tuple" => ql.set_exec_mode(micrograph_core::ExecMode::Tuple),
-                "vectorized" => ql.set_exec_mode(micrograph_core::ExecMode::Vectorized),
-                other => {
-                    writeln!(out, "error: unknown executor '{other}' (tuple | vectorized)")?;
-                    continue;
-                }
-            }
-            writeln!(out, "executor: {}", ql.exec_mode().as_str())?;
             continue;
         }
         if let Some(q) = line.strip_prefix(":profile ") {

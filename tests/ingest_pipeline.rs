@@ -2,9 +2,13 @@
 //! reports carry the Figure 2/3 curves, markers and disk sizes with the
 //! shapes the paper describes.
 
+use std::path::PathBuf;
+
 use bitgraph::loader::{LoadConfig, LoadOptions};
+use micrograph_common::rng::SplitMix64;
 use micrograph_core::ingest::{bit_script, ingest_arbor, ingest_bit};
-use micrograph_datagen::{generate, GenConfig};
+use micrograph_datagen::{generate, CsvFiles, GenConfig};
+use proptest::prelude::*;
 
 struct Guard(std::path::PathBuf);
 impl Drop for Guard {
@@ -134,4 +138,79 @@ fn incremental_load_refused_by_both() {
     // incremental path, matching the paper. Verify the script loads fresh.
     let script = bit_script(&files, LoadConfig::default());
     assert_eq!(script.nodes.len(), 3);
+}
+
+// ---- hostile input -----------------------------------------------------------
+
+/// Applies corruption `kind` to one file of `files` (file, row and spot
+/// drawn from `seed`), returning the file. Kinds: 0 truncated row, 1 extra
+/// field, 2 missing field, 3 non-numeric key, 4 empty key, 5 dangling
+/// endpoint, 6 open quote, 7 stray non-UTF-8 byte. Field edits touch only
+/// unquoted columns: a node file's key (column 0) or an edge endpoint.
+fn corrupt(files: &CsvFiles, kind: usize, seed: u64) -> PathBuf {
+    let mut rng = SplitMix64::new(seed);
+    let [users, tweets, tags] = [&files.users, &files.tweets, &files.hashtags];
+    let edges = [&files.follows, &files.posts, &files.mentions, &files.tags];
+    let pick = |paths: &[&PathBuf]| paths[(seed >> 8) as usize % paths.len()].clone();
+    let endpoint = (seed / 2 % 2) as usize;
+    let (path, col) = match kind {
+        0 | 2 => (pick(&[users, tweets, &files.follows]), 0), // multi-column files
+        3 if seed & 1 == 0 => (pick(&edges[..3]), endpoint), // tag endpoints are text
+        3 => (pick(&[users, tweets]), 0),
+        4 if seed & 1 == 0 => (pick(&edges), endpoint),
+        4 => (pick(&[users, tweets, tags]), 0),
+        5 => (pick(&edges), endpoint),
+        _ => (pick(&[&[users, tweets, tags][..], &edges].concat()), 0),
+    };
+    let mut bytes = std::fs::read(&path).unwrap();
+    if kind == 7 {
+        bytes.insert(rng.next_below(bytes.len() as u64 + 1) as usize, 0xFF);
+        std::fs::write(&path, bytes).unwrap();
+        return path;
+    }
+    let text = String::from_utf8(bytes).unwrap();
+    let mut rows: Vec<String> = text.lines().map(str::to_owned).collect();
+    let at = rng.next_below(rows.len() as u64) as usize;
+    let row = &mut rows[at];
+    let dangling = if path == files.tags && col == 1 { "no-such-tag" } else { "999999999" };
+    match kind {
+        0 => row.truncate(row.rfind(',').expect("multi-column row")),
+        1 => row.push_str(",7"),
+        2 => row.replace_range(..=row.find(',').expect("multi-column row"), ""),
+        _ => {
+            let mut fields: Vec<&str> = row.splitn(2, ',').collect();
+            fields[col] = ["12x", "", dangling, "\"1"][kind - 3];
+            *row = fields.join(",");
+        }
+    }
+    std::fs::write(&path, rows.join("\n") + "\n").unwrap();
+    path
+}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Both bulk loaders (`arbordb::import::bulk_import` and
+    /// `bitgraph::loader::load`, through the ingest wrappers) return an
+    /// error, never panic, on a valid bundle with one corrupted row, field
+    /// or byte.
+    #[test]
+    fn loaders_refuse_hostile_csv(kind in 0usize..8, seed in any::<u64>()) {
+        let cfg = GenConfig {
+            poster_fraction: 0.3,
+            tweets_per_poster: 4,
+            tags_per_tweet: 0.8,
+            ..GenConfig::unit()
+        };
+        let dir = micrograph_common::unique_temp_dir("ingestpipe-hostile");
+        let _g = Guard(dir.clone());
+        let files = generate(&cfg).write_csv(&dir).unwrap();
+        let load = |files: &CsvFiles| {
+            let arbor = ingest_arbor(files, None, Default::default(), &Default::default());
+            let bit = ingest_bit(files, None, LoadConfig::default(), &LoadOptions::default());
+            (arbor.is_ok(), bit.is_ok())
+        };
+        prop_assert_eq!(load(&files), (true, true), "the clean bundle must load");
+        let path = corrupt(&files, kind, seed);
+        prop_assert_eq!(load(&files), (false, false), "corruption {} in {:?}", kind, path);
+    }
 }

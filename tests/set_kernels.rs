@@ -5,9 +5,8 @@
 //!
 //! * every batched `*_kernel(uids)` answers byte-identically to the
 //!   per-uid loop it replaced (`kernel(&[uid])` per uid + the documented
-//!   client-side merge), across the 8-engine matrix and both ArborQL
-//!   executor modes, for adversarial uid lists (duplicates, missing
-//!   users, unsorted order);
+//!   client-side merge), across the 8-engine matrix, for adversarial uid
+//!   lists (duplicates, missing users, unsorted order);
 //! * the `*_counts_for_kernel` candidate probes equal the full kernel
 //!   filtered to the candidate keys (the trait-default shape);
 //! * an empty uid list is a valid query: empty results, never an error;
@@ -15,7 +14,6 @@
 //!   returns exactly what the monolith of the same backend returns, at
 //!   every max-hops cap.
 
-use arbor_ql::ExecMode;
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::ingest::{build_engines, build_sharded_engines};
 use micrograph_core::ShardedEngine;
@@ -153,41 +151,26 @@ fn candidate_keys(full: &[(i64, u64)]) -> Vec<i64> {
     keys
 }
 
-/// Runs `check` under every executor mode the engine supports. Engines
-/// with no declarative layer (bitgraph) run once in their only mode.
-fn for_each_exec_mode(e: &dyn MicroblogEngine, mut check: impl FnMut()) {
-    if e.exec_mode().is_some() {
-        for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-            assert!(e.set_exec_mode(mode));
-            check();
-        }
-    } else {
-        check();
-    }
-}
-
 #[test]
 fn empty_uid_list_yields_empty_results_not_errors() {
     let m = matrix(301);
     for e in m.refs() {
-        for_each_exec_mode(e, || {
-            let none: &[i64] = &[];
-            assert_eq!(e.posted_tweets_kernel(none).unwrap(), Vec::<i64>::new(), "{}", e.name());
-            assert_eq!(e.hashtags_kernel(none).unwrap(), Vec::<String>::new(), "{}", e.name());
-            assert_eq!(e.count_followees_kernel(none).unwrap(), vec![], "{}", e.name());
-            assert_eq!(e.count_followers_kernel(none).unwrap(), vec![], "{}", e.name());
-            assert_eq!(e.follow_frontier_kernel(none).unwrap(), Vec::<i64>::new(), "{}", e.name());
-            // Candidate probes with an empty key list are empty too.
-            assert_eq!(e.co_mention_counts_for_kernel(1, &[]).unwrap(), vec![], "{}", e.name());
-            assert_eq!(e.count_followees_counts_for_kernel(&[1], &[]).unwrap(), vec![], "{}", e.name());
-            assert_eq!(e.count_followers_counts_for_kernel(&[1], &[]).unwrap(), vec![], "{}", e.name());
-            assert_eq!(
-                e.co_tag_counts_for_kernel("tag1", &[]).unwrap(),
-                vec![],
-                "{}",
-                e.name()
-            );
-        });
+        let none: &[i64] = &[];
+        assert_eq!(e.posted_tweets_kernel(none).unwrap(), Vec::<i64>::new(), "{}", e.name());
+        assert_eq!(e.hashtags_kernel(none).unwrap(), Vec::<String>::new(), "{}", e.name());
+        assert_eq!(e.count_followees_kernel(none).unwrap(), vec![], "{}", e.name());
+        assert_eq!(e.count_followers_kernel(none).unwrap(), vec![], "{}", e.name());
+        assert_eq!(e.follow_frontier_kernel(none).unwrap(), Vec::<i64>::new(), "{}", e.name());
+        // Candidate probes with an empty key list are empty too.
+        assert_eq!(e.co_mention_counts_for_kernel(1, &[]).unwrap(), vec![], "{}", e.name());
+        assert_eq!(e.count_followees_counts_for_kernel(&[1], &[]).unwrap(), vec![], "{}", e.name());
+        assert_eq!(e.count_followers_counts_for_kernel(&[1], &[]).unwrap(), vec![], "{}", e.name());
+        assert_eq!(
+            e.co_tag_counts_for_kernel("tag1", &[]).unwrap(),
+            vec![],
+            "{}",
+            e.name()
+        );
     }
 }
 
@@ -201,26 +184,24 @@ fn duplicate_uids_count_per_occurrence() {
     let m = matrix(302);
     let uids = [3i64, 3, 3, 7, 7];
     for e in m.refs() {
-        for_each_exec_mode(e, || {
-            assert_eq!(
-                e.posted_tweets_kernel(&uids).unwrap(),
-                looped_posted(e, &uids),
-                "{}: posted",
-                e.name()
-            );
-            assert_eq!(
-                e.count_followees_kernel(&uids).unwrap(),
-                looped_counts(|u| e.count_followees_kernel(&[u]).unwrap(), &uids),
-                "{}: followee counts",
-                e.name()
-            );
-            assert_eq!(
-                e.count_followers_kernel(&uids).unwrap(),
-                looped_counts(|u| e.count_followers_kernel(&[u]).unwrap(), &uids),
-                "{}: follower counts",
-                e.name()
-            );
-        });
+        assert_eq!(
+            e.posted_tweets_kernel(&uids).unwrap(),
+            looped_posted(e, &uids),
+            "{}: posted",
+            e.name()
+        );
+        assert_eq!(
+            e.count_followees_kernel(&uids).unwrap(),
+            looped_counts(|u| e.count_followees_kernel(&[u]).unwrap(), &uids),
+            "{}: followee counts",
+            e.name()
+        );
+        assert_eq!(
+            e.count_followers_kernel(&uids).unwrap(),
+            looped_counts(|u| e.count_followers_kernel(&[u]).unwrap(), &uids),
+            "{}: follower counts",
+            e.name()
+        );
     }
 }
 
@@ -251,8 +232,7 @@ proptest! {
 
     /// For random uid lists — unsorted, with duplicates and missing users
     /// — every batched kernel equals its per-uid loop, and every
-    /// candidate probe equals the filtered full kernel, on all 8 engines
-    /// under both executor modes.
+    /// candidate probe equals the filtered full kernel, on all 8 engines.
     #[test]
     fn batched_kernels_match_per_uid_loops(
         seed in 310u64..340,
@@ -260,80 +240,38 @@ proptest! {
     ) {
         let m = matrix(seed);
         for e in m.refs() {
-            let mut failed: Option<String> = None;
-            for_each_exec_mode(e, || {
-                if failed.is_some() {
-                    return;
-                }
-                let checks: [(&str, bool); 5] = [
-                    (
-                        "posted",
-                        e.posted_tweets_kernel(&uids).unwrap() == looped_posted(e, &uids),
-                    ),
-                    (
-                        "hashtags",
-                        e.hashtags_kernel(&uids).unwrap() == looped_hashtags(e, &uids),
-                    ),
-                    (
-                        "followee counts",
-                        e.count_followees_kernel(&uids).unwrap()
-                            == looped_counts(|u| e.count_followees_kernel(&[u]).unwrap(), &uids),
-                    ),
-                    (
-                        "follower counts",
-                        e.count_followers_kernel(&uids).unwrap()
-                            == looped_counts(|u| e.count_followers_kernel(&[u]).unwrap(), &uids),
-                    ),
-                    (
-                        "frontier",
-                        e.follow_frontier_kernel(&uids).unwrap() == looped_frontier(e, &uids),
-                    ),
-                ];
-                for (label, ok) in checks {
-                    if !ok {
-                        failed = Some(format!("{}: batched {label} != per-uid loop", e.name()));
-                        return;
-                    }
-                }
-                // Candidate probes against the filtered full kernels.
-                let full_out = e.count_followees_kernel(&uids).unwrap();
-                let keys = candidate_keys(&full_out);
-                if e.count_followees_counts_for_kernel(&uids, &keys).unwrap()
-                    != filtered(&full_out, &keys)
-                {
-                    failed = Some(format!("{}: followee counts_for probe", e.name()));
-                    return;
-                }
-                let full_in = e.count_followers_kernel(&uids).unwrap();
-                let keys = candidate_keys(&full_in);
-                if e.count_followers_counts_for_kernel(&uids, &keys).unwrap()
-                    != filtered(&full_in, &keys)
-                {
-                    failed = Some(format!("{}: follower counts_for probe", e.name()));
-                    return;
-                }
-                let subject = uids[0];
-                let full_cm = e.co_mention_counts_kernel(subject).unwrap();
-                let keys = candidate_keys(&full_cm);
-                if e.co_mention_counts_for_kernel(subject, &keys).unwrap()
-                    != filtered(&full_cm, &keys)
-                {
-                    failed = Some(format!("{}: co-mention counts_for probe", e.name()));
-                    return;
-                }
-                let full_ct = e.co_tag_counts_kernel("tag1").unwrap();
-                let mut tag_keys: Vec<String> =
-                    full_ct.iter().step_by(2).map(|(k, _)| k.clone()).collect();
-                tag_keys.push("zz-no-such-tag".to_owned());
-                tag_keys.sort();
-                tag_keys.dedup();
-                if e.co_tag_counts_for_kernel("tag1", &tag_keys).unwrap()
-                    != filtered(&full_ct, &tag_keys)
-                {
-                    failed = Some(format!("{}: co-tag counts_for probe", e.name()));
-                }
-            });
-            prop_assert!(failed.is_none(), "seed {}: {}", seed, failed.unwrap());
+            let at = format!("seed {seed}: {}", e.name());
+            let posted = e.posted_tweets_kernel(&uids).unwrap();
+            prop_assert!(posted == looped_posted(e, &uids), "{at}: posted");
+            let tags = e.hashtags_kernel(&uids).unwrap();
+            prop_assert!(tags == looped_hashtags(e, &uids), "{at}: hashtags");
+            let full_out = e.count_followees_kernel(&uids).unwrap();
+            let looped = looped_counts(|u| e.count_followees_kernel(&[u]).unwrap(), &uids);
+            prop_assert!(full_out == looped, "{at}: followee counts");
+            let full_in = e.count_followers_kernel(&uids).unwrap();
+            let looped = looped_counts(|u| e.count_followers_kernel(&[u]).unwrap(), &uids);
+            prop_assert!(full_in == looped, "{at}: follower counts");
+            let frontier = e.follow_frontier_kernel(&uids).unwrap();
+            prop_assert!(frontier == looped_frontier(e, &uids), "{at}: frontier");
+            // Candidate probes against the filtered full kernels.
+            let keys = candidate_keys(&full_out);
+            let probe = e.count_followees_counts_for_kernel(&uids, &keys).unwrap();
+            prop_assert!(probe == filtered(&full_out, &keys), "{at}: followee counts_for probe");
+            let keys = candidate_keys(&full_in);
+            let probe = e.count_followers_counts_for_kernel(&uids, &keys).unwrap();
+            prop_assert!(probe == filtered(&full_in, &keys), "{at}: follower counts_for probe");
+            let full_cm = e.co_mention_counts_kernel(uids[0]).unwrap();
+            let keys = candidate_keys(&full_cm);
+            let probe = e.co_mention_counts_for_kernel(uids[0], &keys).unwrap();
+            prop_assert!(probe == filtered(&full_cm, &keys), "{at}: co-mention counts_for probe");
+            let full_ct = e.co_tag_counts_kernel("tag1").unwrap();
+            let mut tag_keys: Vec<String> =
+                full_ct.iter().step_by(2).map(|(k, _)| k.clone()).collect();
+            tag_keys.push("zz-no-such-tag".to_owned());
+            tag_keys.sort();
+            tag_keys.dedup();
+            let probe = e.co_tag_counts_for_kernel("tag1", &tag_keys).unwrap();
+            prop_assert!(probe == filtered(&full_ct, &tag_keys), "{at}: co-tag counts_for probe");
         }
     }
 }

@@ -1,21 +1,14 @@
-//! Vectorized-execution invariants (DESIGN.md §4g): the batched ArborQL
-//! operator tree is a pure performance feature — flipping
-//! [`micrograph_core::ExecMode`] must never move a single byte of any
-//! answer. Vectorized ≡ tuple is pinned across the 8-engine matrix and
-//! under masked transient chaos, and the cardinality statistics the
-//! cost-based planner consults are pinned against a from-scratch rebuild
-//! scan after incremental `apply_event` streams (statistics may shape
-//! plans, never answers).
+//! Cost-based planning invariants (DESIGN.md §4g): the cardinality
+//! statistics the planner consults are pinned against a from-scratch
+//! rebuild scan after incremental `apply_event` streams, and statistics may
+//! shape plans, never answers.
 
 use arbordb::db::{DbConfig, GraphDb};
 use micrograph_core::engine::MicroblogEngine;
-use micrograph_core::fault::silence_injected_panics;
-use micrograph_core::ingest::{build_chaos_sharded_engines, build_engines, build_sharded_engines};
-use micrograph_core::serve::{serve, ServeConfig, ServeReport};
+use micrograph_core::ingest::build_engines;
 use micrograph_core::workload::{run_query, QueryId, QueryParams};
-use micrograph_core::{DegradationMode, ExecMode, FaultPlan, RetryPolicy, Value};
+use micrograph_core::Value;
 use micrograph_datagen::{generate, Dataset, GenConfig, StreamGen, StreamMix};
-use proptest::prelude::*;
 
 struct Guard(std::path::PathBuf);
 impl Drop for Guard {
@@ -41,145 +34,6 @@ fn dataset(seed: u64, tag: &str) -> (Dataset, Guard) {
     let dir = micrograph_common::unique_temp_dir(&format!("vexec-{tag}-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     (generate(&gen_config(seed)), Guard(dir))
-}
-
-fn config(threads: usize, requests: usize) -> ServeConfig {
-    ServeConfig { threads, requests, seed: 7, users: USERS, vocab: 16, ..Default::default() }
-}
-
-/// Everything an executor flip must keep identical on a clean engine.
-fn fingerprint(r: &ServeReport) -> (Vec<String>, u64, u64, String) {
-    (r.rendered.clone(), r.errors, r.degraded, r.faults.to_string())
-}
-
-#[test]
-fn exec_mode_flip_matches_the_monolith_across_the_matrix() {
-    // The 8-engine matrix with the executor axis added: the monolithic
-    // arbordb engine in both modes is the double-sided reference, and
-    // every sharded arbordb composition must answer the full Q1–Q6 sweep
-    // identically in both modes. Engines without a declarative layer
-    // (bitgraph, sharded or not) refuse the toggle and still agree.
-    let (ds, g) = dataset(71, "matrix");
-    let files = ds.write_csv(&g.0.join("mono")).unwrap();
-    let (arbor, bit, _) = build_engines(&files).unwrap();
-    let mut engines: Vec<Box<dyn MicroblogEngine>> = vec![Box::new(bit)];
-    for shards in [1usize, 2, 4] {
-        let (sa, sb) =
-            build_sharded_engines(&ds, &g.0.join(format!("shards-{shards}")), shards).unwrap();
-        engines.push(Box::new(sa));
-        engines.push(Box::new(sb));
-    }
-    let reference: &dyn MicroblogEngine = &arbor;
-    assert_eq!(reference.exec_mode(), Some(ExecMode::Vectorized), "vectorized is the default");
-    let mut rng = micrograph_common::rng::SplitMix64::new(71);
-    for round in 0..3 {
-        let mut params = QueryParams::sample(&mut rng, USERS, 8);
-        params.n = [1, 10, 25][round];
-        for q in QueryId::ALL {
-            assert!(reference.set_exec_mode(ExecMode::Tuple));
-            let expected = run_query(reference, q, &params).unwrap();
-            assert!(reference.set_exec_mode(ExecMode::Vectorized));
-            assert_eq!(
-                expected,
-                run_query(reference, q, &params).unwrap(),
-                "{}: monolith exec flip moved the answer",
-                q.label()
-            );
-            for e in &engines {
-                let e: &dyn MicroblogEngine = e.as_ref();
-                if e.exec_mode().is_some() {
-                    for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-                        assert!(e.set_exec_mode(mode));
-                        assert_eq!(
-                            expected,
-                            run_query(e, q, &params).unwrap(),
-                            "{} on {} ({}) diverged from monolith",
-                            q.label(),
-                            e.name(),
-                            mode.as_str()
-                        );
-                    }
-                } else {
-                    assert!(
-                        !e.set_exec_mode(ExecMode::Tuple),
-                        "{}: engines without a declarative layer must refuse the toggle",
-                        e.name()
-                    );
-                    assert_eq!(
-                        expected,
-                        run_query(e, q, &params).unwrap(),
-                        "{} on {} diverged from monolith",
-                        q.label(),
-                        e.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn exec_mode_flip_keeps_serve_digests() {
-    // Full serving runs: digest and fingerprint are invariant under the
-    // executor flip on the monolith and on a sharded composition.
-    let (ds, g) = dataset(72, "digest");
-    let files = ds.write_csv(&g.0.join("mono")).unwrap();
-    let (arbor, _bit, _) = build_engines(&files).unwrap();
-    let (sharded, _) = build_sharded_engines(&ds, &g.0.join("s"), 2).unwrap();
-    for engine in [&arbor as &dyn MicroblogEngine, &sharded] {
-        assert!(engine.set_exec_mode(ExecMode::Vectorized));
-        let vec = serve(engine, &config(2, 128)).unwrap();
-        assert!(engine.set_exec_mode(ExecMode::Tuple));
-        let tup = serve(engine, &config(2, 128)).unwrap();
-        assert!(engine.set_exec_mode(ExecMode::Vectorized));
-        assert_eq!(
-            fingerprint(&vec),
-            fingerprint(&tup),
-            "{}: exec flip moved the fingerprint",
-            engine.name()
-        );
-        assert_eq!(vec.digest(), tup.digest(), "{} digest", engine.name());
-    }
-}
-
-#[test]
-fn exec_mode_flip_is_invariant_under_masked_transient_chaos() {
-    // Transient faults are fully masked by the retry budget, so the
-    // executor flip stays answer-invariant even through the chaos wrapper
-    // (which forwards the toggle like its other instrumentation
-    // passthroughs) — both modes pin the fault-free digest.
-    silence_injected_panics();
-    let (ds, g) = dataset(73, "chaos");
-    let (clean, _) = build_sharded_engines(&ds, &g.0.join("clean"), 4).unwrap();
-    let (chaos, _) = build_chaos_sharded_engines(
-        &ds,
-        &g.0.join("chaos"),
-        4,
-        FaultPlan::transient(3),
-        RetryPolicy::default(),
-        DegradationMode::Strict,
-    )
-    .unwrap();
-    let base = serve(&clean, &config(1, 96)).unwrap();
-    assert!(base.faults.is_zero());
-    let mut digests = Vec::new();
-    for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-        assert!(chaos.set_exec_mode(mode), "chaos wrapper must forward the exec toggle");
-        assert_eq!(chaos.exec_mode(), Some(mode));
-        let r = serve(&chaos, &config(1, 96)).unwrap();
-        assert!(r.faults.total_injected() > 0, "vacuous: plan injected nothing");
-        assert_eq!(
-            r.rendered,
-            base.rendered,
-            "{}: chaos leaked into answers",
-            mode.as_str()
-        );
-        assert_eq!(r.errors, 0);
-        assert_eq!(r.degraded, 0);
-        digests.push(r.digest());
-    }
-    assert_eq!(digests[0], digests[1], "exec flip moved the chaos digest");
-    assert!(chaos.set_exec_mode(ExecMode::Vectorized));
 }
 
 // ---- cardinality-statistics maintenance ------------------------------------
@@ -296,7 +150,7 @@ fn statistics_survive_aborts_and_deletes() {
 fn statistics_only_shape_plans_never_answers() {
     // The §4g safety property, exercised end to end: clearing the
     // statistics out from under a live engine may change the chosen plan,
-    // but every workload answer stays byte-identical in both executors.
+    // but every workload answer stays byte-identical.
     let (ds, g) = dataset(75, "stale");
     let files = ds.write_csv(&g.0.join("mono")).unwrap();
     let (arbor, _bit, _) = build_engines(&files).unwrap();
@@ -310,48 +164,12 @@ fn statistics_only_shape_plans_never_answers() {
     // plan cache so new plans are actually built against the empty snapshot.
     arbor.db().statistics().clear();
     arbor.ql().clear_cache();
-    let reference: &dyn MicroblogEngine = &arbor;
-    for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-        assert!(reference.set_exec_mode(mode));
-        for (i, q) in QueryId::ALL.into_iter().enumerate() {
-            assert_eq!(
-                expected[i],
-                run_query(reference, q, &params).unwrap(),
-                "{} ({}): empty statistics changed an answer",
-                q.label(),
-                mode.as_str()
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// For random datasets and top-n limits, the vectorized operators and
-    /// the tuple interpreter return identical rows for every workload
-    /// query on a sharded arbordb composition — batching can never change
-    /// an answer, only how many rows move per operator call.
-    #[test]
-    fn exec_flip_agrees_on_random_datasets(
-        data_seed in 500u64..600,
-        n in 1usize..16,
-    ) {
-        let (ds, g) = dataset(data_seed, "prop");
-        let (sharded, _) = build_sharded_engines(&ds, &g.0.join("s"), 2).unwrap();
-        let mut rng = micrograph_common::rng::SplitMix64::new(data_seed);
-        let mut params = QueryParams::sample(&mut rng, USERS, 8);
-        params.n = n;
-        for q in QueryId::ALL {
-            prop_assert!(sharded.set_exec_mode(ExecMode::Tuple));
-            let tup = run_query(&sharded, q, &params).unwrap();
-            prop_assert!(sharded.set_exec_mode(ExecMode::Vectorized));
-            let vec = run_query(&sharded, q, &params).unwrap();
-            prop_assert_eq!(
-                tup, vec,
-                "{} n={} seed={}: exec flip changed the answer",
-                q.label(), n, data_seed
-            );
-        }
+    for (i, q) in QueryId::ALL.into_iter().enumerate() {
+        assert_eq!(
+            expected[i],
+            run_query(&arbor, q, &params).unwrap(),
+            "{}: empty statistics changed an answer",
+            q.label()
+        );
     }
 }
