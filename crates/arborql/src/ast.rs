@@ -183,11 +183,9 @@ impl Expr {
     pub fn vars(&self, out: &mut Vec<String>) {
         match self {
             Expr::Lit(_) | Expr::Param(_) | Expr::CountStar => {}
-            Expr::Var(v)
-            | Expr::Prop(v, _)
-            | Expr::Length(v)
-            | Expr::Id(v)
-            | Expr::TypeFn(v) => out.push(v.clone()),
+            Expr::Var(v) | Expr::Prop(v, _) | Expr::Length(v) | Expr::Id(v) | Expr::TypeFn(v) => {
+                out.push(v.clone())
+            }
             Expr::Cmp(_, a, b) | Expr::In(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
                 a.vars(out);
                 b.vars(out);
@@ -244,7 +242,10 @@ mod tests {
 
     #[test]
     fn or_does_not_split() {
-        let e = Expr::Or(Box::new(Expr::Var("a".into())), Box::new(Expr::Var("b".into())));
+        let e = Expr::Or(
+            Box::new(Expr::Var("a".into())),
+            Box::new(Expr::Var("b".into())),
+        );
         assert_eq!(e.clone().conjuncts(), vec![e]);
     }
 }

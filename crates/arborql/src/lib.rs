@@ -38,8 +38,8 @@ pub mod token;
 pub mod vexec;
 
 pub use engine::{EngineOptions, Prepared, QueryEngine, QueryResult, QueryStats};
-pub use plan::PlannerOptions;
 pub use micrograph_common::Value;
+pub use plan::PlannerOptions;
 
 /// Errors produced by the query layer.
 #[derive(Debug)]

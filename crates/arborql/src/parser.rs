@@ -9,7 +9,11 @@ use crate::{QlError, Result};
 /// Parses a full query.
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, at: 0, anon_counter: 0 };
+    let mut p = Parser {
+        tokens,
+        at: 0,
+        anon_counter: 0,
+    };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -51,7 +55,10 @@ impl Parser {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(QlError::Syntax(format!("expected {kw}, found {:?}", self.peek())))
+            Err(QlError::Syntax(format!(
+                "expected {kw}, found {:?}",
+                self.peek()
+            )))
         }
     }
 
@@ -68,7 +75,10 @@ impl Parser {
         if self.eat(t) {
             Ok(())
         } else {
-            Err(QlError::Syntax(format!("expected {t:?}, found {:?}", self.peek())))
+            Err(QlError::Syntax(format!(
+                "expected {t:?}, found {:?}",
+                self.peek()
+            )))
         }
     }
 
@@ -76,14 +86,19 @@ impl Parser {
         if matches!(self.peek(), Token::Eof) {
             Ok(())
         } else {
-            Err(QlError::Syntax(format!("trailing input: {:?}", self.peek())))
+            Err(QlError::Syntax(format!(
+                "trailing input: {:?}",
+                self.peek()
+            )))
         }
     }
 
     fn ident(&mut self) -> Result<String> {
         match self.bump() {
             Token::Ident(s) => Ok(s),
-            other => Err(QlError::Syntax(format!("expected identifier, found {other:?}"))),
+            other => Err(QlError::Syntax(format!(
+                "expected identifier, found {other:?}"
+            ))),
         }
     }
 
@@ -99,16 +114,28 @@ impl Parser {
         loop {
             self.expect_kw("MATCH")?;
             let match_clause = self.match_clause()?;
-            let where_clause = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
+            let where_clause = if self.eat_kw("WHERE") {
+                Some(self.expr()?)
+            } else {
+                None
+            };
             if self.eat_kw("WITH") {
                 let distinct = self.eat_kw("DISTINCT");
                 let mut items = vec![self.return_item()?];
                 while self.eat(&Token::Comma) {
                     items.push(self.return_item()?);
                 }
-                let where_after = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
+                let where_after = if self.eat_kw("WHERE") {
+                    Some(self.expr()?)
+                } else {
+                    None
+                };
                 let order_by = self.order_by_keys()?;
-                let limit = if self.eat_kw("LIMIT") { Some(self.primary()?) } else { None };
+                let limit = if self.eat_kw("LIMIT") {
+                    Some(self.primary()?)
+                } else {
+                    None
+                };
                 stages.push(WithStage {
                     match_clause,
                     where_clause,
@@ -127,7 +154,11 @@ impl Parser {
                 items.push(self.return_item()?);
             }
             let order_by = self.order_by_keys()?;
-            let limit = if self.eat_kw("LIMIT") { Some(self.primary()?) } else { None };
+            let limit = if self.eat_kw("LIMIT") {
+                Some(self.primary()?)
+            } else {
+                None
+            };
             return Ok(Query {
                 stages,
                 match_clause,
@@ -198,7 +229,11 @@ impl Parser {
         } else {
             self.fresh_var()
         };
-        let label = if self.eat(&Token::Colon) { Some(self.ident()?) } else { None };
+        let label = if self.eat(&Token::Colon) {
+            Some(self.ident()?)
+        } else {
+            None
+        };
         let mut props = Vec::new();
         if self.eat(&Token::LBrace) {
             loop {
@@ -253,7 +288,7 @@ impl Parser {
                     hops = (min.unwrap_or(1), max);
                 } else {
                     match min {
-                        Some(n) => hops = (n, n), // `*k` = exactly k
+                        Some(n) => hops = (n, n),                      // `*k` = exactly k
                         None => hops = (1, crate::plan::MAX_VAR_HOPS), // bare `*`
                     }
                 }
@@ -280,7 +315,12 @@ impl Parser {
                 "relationship variables on variable-length patterns are not supported".into(),
             ));
         }
-        Ok(RelPat { var, rel_type, dir, hops })
+        Ok(RelPat {
+            var,
+            rel_type,
+            dir,
+            hops,
+        })
     }
 
     fn return_item(&mut self) -> Result<ReturnItem> {
@@ -367,7 +407,12 @@ impl Parser {
         self.expect(&Token::LParen)?;
         let to = self.ident()?;
         self.expect(&Token::RParen)?;
-        Ok(Expr::PatternExists { from, to, rel_type: rel.rel_type, dir: rel.dir })
+        Ok(Expr::PatternExists {
+            from,
+            to,
+            rel_type: rel.rel_type,
+            dir: rel.dir,
+        })
     }
 
     fn primary(&mut self) -> Result<Expr> {
@@ -445,7 +490,9 @@ impl Parser {
                     Ok(Expr::Var(name))
                 }
             }
-            other => Err(QlError::Syntax(format!("expected expression, found {other:?}"))),
+            other => Err(QlError::Syntax(format!(
+                "expected expression, found {other:?}"
+            ))),
         }
     }
 }
@@ -469,11 +516,10 @@ mod tests {
 
     #[test]
     fn parse_adjacency_query() {
-        let q = parse(
-            "MATCH (a:user {uid: $uid})-[:follows]->(f:user) RETURN f.uid",
-        )
-        .unwrap();
-        let MatchClause::Path(p) = &q.match_clause else { panic!("expected path") };
+        let q = parse("MATCH (a:user {uid: $uid})-[:follows]->(f:user) RETURN f.uid").unwrap();
+        let MatchClause::Path(p) = &q.match_clause else {
+            panic!("expected path")
+        };
         assert_eq!(p.nodes.len(), 2);
         assert_eq!(p.nodes[0].label.as_deref(), Some("user"));
         assert_eq!(p.nodes[0].props.len(), 1);
@@ -490,7 +536,9 @@ mod tests {
              RETURN b.uid, count(*) AS c ORDER BY c DESC LIMIT $n",
         )
         .unwrap();
-        let MatchClause::Path(p) = &q.match_clause else { panic!() };
+        let MatchClause::Path(p) = &q.match_clause else {
+            panic!()
+        };
         assert_eq!(p.rels[0].dir, PatDir::Left);
         assert_eq!(p.rels[1].dir, PatDir::Right);
         assert!(q.where_clause.is_some());
@@ -504,10 +552,14 @@ mod tests {
     #[test]
     fn parse_varlength() {
         let q = parse("MATCH (a {uid: 1})-[:follows*2..2]->(r) RETURN r.uid").unwrap();
-        let MatchClause::Path(p) = &q.match_clause else { panic!() };
+        let MatchClause::Path(p) = &q.match_clause else {
+            panic!()
+        };
         assert_eq!(p.rels[0].hops, (2, 2));
         let q = parse("MATCH (a)-[:follows*..3]-(b) RETURN b").unwrap();
-        let MatchClause::Path(p) = &q.match_clause else { panic!() };
+        let MatchClause::Path(p) = &q.match_clause else {
+            panic!()
+        };
         assert_eq!(p.rels[0].hops, (1, 3));
         assert_eq!(p.rels[0].dir, PatDir::Undirected);
     }
@@ -523,7 +575,9 @@ mod tests {
         let w = q.where_clause.unwrap();
         let cs = w.conjuncts();
         assert_eq!(cs.len(), 2);
-        assert!(matches!(&cs[0], Expr::Not(inner) if matches!(**inner, Expr::PatternExists { .. })));
+        assert!(
+            matches!(&cs[0], Expr::Not(inner) if matches!(**inner, Expr::PatternExists { .. }))
+        );
     }
 
     #[test]
@@ -564,7 +618,9 @@ mod tests {
     #[test]
     fn anonymous_nodes_get_fresh_vars() {
         let q = parse("MATCH (:user)-[:follows]->() RETURN count(*)").unwrap();
-        let MatchClause::Path(p) = &q.match_clause else { panic!() };
+        let MatchClause::Path(p) = &q.match_clause else {
+            panic!()
+        };
         assert_ne!(p.nodes[0].var, p.nodes[1].var);
     }
 

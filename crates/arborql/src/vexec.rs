@@ -44,12 +44,18 @@ pub struct Batch {
 
 impl Batch {
     fn new(width: usize) -> Self {
-        Batch { width, data: Vec::with_capacity(width * BATCH_SIZE.min(64)) }
+        Batch {
+            width,
+            data: Vec::with_capacity(width * BATCH_SIZE.min(64)),
+        }
     }
 
     /// A single all-`Empty` seed row (the leaf-scan input).
     fn unit(width: usize) -> Self {
-        Batch { width, data: vec![Slot::Empty; width] }
+        Batch {
+            width,
+            data: vec![Slot::Empty; width],
+        }
     }
 
     /// Number of rows.
@@ -163,7 +169,9 @@ fn with_input_vec(
 
 /// Emits accumulated rows (sort/top-n/aggregate outputs) in batches.
 fn emit_rows(rows: &[Vec<Slot>], sink: &mut BSink<'_>) -> Result<bool> {
-    let Some(first) = rows.first() else { return Ok(true) };
+    let Some(first) = rows.first() else {
+        return Ok(true);
+    };
     let mut out = Batch::new(first.len());
     for r in rows {
         out.push_row(r);
@@ -178,7 +186,13 @@ fn emit_rows(rows: &[Vec<Slot>], sink: &mut BSink<'_>) -> Result<bool> {
 /// (`slots.max(columns)`); projection/aggregation narrow it downstream.
 fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -> Result<bool> {
     match op {
-        Op::IndexSeek { input, label, key, value, slot } => {
+        Op::IndexSeek {
+            input,
+            label,
+            key,
+            value,
+            slot,
+        } => {
             let mut ids: Vec<NodeId> = Vec::new();
             let mut out = Batch::new(width);
             let cont = with_input_vec(input, ctx, width, sink, &mut |b, sink| {
@@ -206,7 +220,13 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             }
             flush_rest(&mut out, sink)
         }
-        Op::NodeIdInSeek { input, label, key, list, slot } => {
+        Op::NodeIdInSeek {
+            input,
+            label,
+            key,
+            list,
+            slot,
+        } => {
             // Seeds the batch from the whole anchor list in one pass: one
             // `index_seek_into` per sorted/deduped key, keeping the seek
             // schedule identical to the tuple interpreter's.
@@ -239,7 +259,14 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             }
             flush_rest(&mut out, sink)
         }
-        Op::IndexRangeSeek { input, label, key, op, bound, slot } => {
+        Op::IndexRangeSeek {
+            input,
+            label,
+            key,
+            op,
+            bound,
+            slot,
+        } => {
             let mut out = Batch::new(width);
             let cont = with_input_vec(input, ctx, width, sink, &mut |b, sink| {
                 for i in 0..b.len() {
@@ -310,7 +337,16 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             }
             flush_rest(&mut out, sink)
         }
-        Op::Expand { input, from, to, rel_slot, rel_type, dir, min, max } => {
+        Op::Expand {
+            input,
+            from,
+            to,
+            rel_slot,
+            rel_type,
+            dir,
+            min,
+            max,
+        } => {
             let t = resolve_type(ctx.db, rel_type);
             let type_missing = rel_type.is_some() && t.is_none();
             let single = (*min, *max) == (1, 1);
@@ -326,7 +362,9 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
                     };
                     if single {
                         nbrs.clear();
-                        ctx.db.rels_into(start, t, *dir, &mut nbrs).map_err(QlError::Db)?;
+                        ctx.db
+                            .rels_into(start, t, *dir, &mut nbrs)
+                            .map_err(QlError::Db)?;
                         for &(eid, other) in &nbrs {
                             out.push_row(b.row(i));
                             let last = out.len() - 1;
@@ -364,9 +402,7 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             // dictionary round-trip through the label *name*.
             let fast: Option<(usize, Option<LabelId>)> = match pred {
                 CExpr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (CExpr::Prop(slot, key), CExpr::Lit(Value::Str(name)))
-                        if key == "  label" =>
-                    {
+                    (CExpr::Prop(slot, key), CExpr::Lit(Value::Str(name))) if key == "  label" => {
                         Some((*slot, ctx.db.label_id(name)))
                     }
                     _ => None,
@@ -398,7 +434,15 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
                 sink(b)
             })
         }
-        Op::ShortestPath { input, from, to, rel_type, dir, max, path_slot } => {
+        Op::ShortestPath {
+            input,
+            from,
+            to,
+            rel_type,
+            dir,
+            max,
+            path_slot,
+        } => {
             let t = resolve_type(ctx.db, rel_type);
             let type_missing = rel_type.is_some() && t.is_none();
             run_vec(input, ctx, width, &mut |b: &mut Batch| {
@@ -407,8 +451,7 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
                 }
                 let mut kept = 0usize;
                 for i in 0..b.len() {
-                    let (Slot::Node(a), Slot::Node(z)) = (&b.row(i)[*from], &b.row(i)[*to])
-                    else {
+                    let (Slot::Node(a), Slot::Node(z)) = (&b.row(i)[*from], &b.row(i)[*to]) else {
                         return Err(QlError::Plan("shortestPath endpoints not bound".into()));
                     };
                     let (a, z) = (*a, *z);
@@ -651,8 +694,10 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             run_vec(input, ctx, width, &mut |b: &mut Batch| {
                 let mut kept = 0usize;
                 for i in 0..b.len() {
-                    let key =
-                        exprs.iter().map(|e| eval(e, b.row(i), ctx)).collect::<Result<Vec<_>>>()?;
+                    let key = exprs
+                        .iter()
+                        .map(|e| eval(e, b.row(i), ctx))
+                        .collect::<Result<Vec<_>>>()?;
                     if seen.insert(key) {
                         b.swap_rows(kept, i);
                         kept += 1;
@@ -712,7 +757,11 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             }
             flush_rest(&mut out, sink)
         }
-        Op::AggregateBy { input, groups, count_slot } => {
+        Op::AggregateBy {
+            input,
+            groups,
+            count_slot,
+        } => {
             let mut acc: HashMap<Vec<Value>, (Vec<Slot>, u64)> = HashMap::new();
             let mut order: Vec<Vec<Value>> = Vec::new();
             let grefs: Vec<&CExpr> = groups.iter().map(|(_, e)| e).collect();
@@ -782,18 +831,15 @@ fn eval_columns(exprs: &[&CExpr], b: &Batch, ctx: &ExecContext<'_>) -> Result<Ve
     }
 }
 
-fn try_eval_columns(
-    exprs: &[&CExpr],
-    b: &Batch,
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<Vec<Value>>> {
+fn try_eval_columns(exprs: &[&CExpr], b: &Batch, ctx: &ExecContext<'_>) -> Result<Vec<Vec<Value>>> {
     let mut cols = Vec::with_capacity(exprs.len());
     let mut nodes: Vec<NodeId> = Vec::new();
     for e in exprs {
         let col = match e {
-            CExpr::PropId(s, kid) if column_nodes(b, *s, &mut nodes) => {
-                ctx.db.node_prop_by_id_batch(&nodes, *kid).map_err(QlError::Db)?
-            }
+            CExpr::PropId(s, kid) if column_nodes(b, *s, &mut nodes) => ctx
+                .db
+                .node_prop_by_id_batch(&nodes, *kid)
+                .map_err(QlError::Db)?,
             _ => {
                 let mut c = Vec::with_capacity(b.len());
                 for i in 0..b.len() {
@@ -839,15 +885,11 @@ fn resolve_expr(e: &CExpr, db: &GraphDb) -> CExpr {
             Box::new(resolve_expr(a, db)),
             Box::new(resolve_expr(b, db)),
         ),
-        CExpr::In(a, b) => {
-            CExpr::In(Box::new(resolve_expr(a, db)), Box::new(resolve_expr(b, db)))
-        }
+        CExpr::In(a, b) => CExpr::In(Box::new(resolve_expr(a, db)), Box::new(resolve_expr(b, db))),
         CExpr::And(a, b) => {
             CExpr::And(Box::new(resolve_expr(a, db)), Box::new(resolve_expr(b, db)))
         }
-        CExpr::Or(a, b) => {
-            CExpr::Or(Box::new(resolve_expr(a, db)), Box::new(resolve_expr(b, db)))
-        }
+        CExpr::Or(a, b) => CExpr::Or(Box::new(resolve_expr(a, db)), Box::new(resolve_expr(b, db))),
         CExpr::Not(a) => CExpr::Not(Box::new(resolve_expr(a, db))),
         other => other.clone(),
     }
@@ -868,21 +910,40 @@ fn resolve_items(items: &[AggItem], db: &GraphDb) -> Vec<AggItem> {
 /// dictionary hash from every per-row property access.
 fn resolve_op(op: &Op, db: &GraphDb) -> Op {
     match op {
-        Op::IndexSeek { input, label, key, value, slot } => Op::IndexSeek {
+        Op::IndexSeek {
+            input,
+            label,
+            key,
+            value,
+            slot,
+        } => Op::IndexSeek {
             input: input.as_ref().map(|i| Box::new(resolve_op(i, db))),
             label: label.clone(),
             key: key.clone(),
             value: resolve_expr(value, db),
             slot: *slot,
         },
-        Op::NodeIdInSeek { input, label, key, list, slot } => Op::NodeIdInSeek {
+        Op::NodeIdInSeek {
+            input,
+            label,
+            key,
+            list,
+            slot,
+        } => Op::NodeIdInSeek {
             input: input.as_ref().map(|i| Box::new(resolve_op(i, db))),
             label: label.clone(),
             key: key.clone(),
             list: Box::new(resolve_expr(list, db)),
             slot: *slot,
         },
-        Op::IndexRangeSeek { input, label, key, op, bound, slot } => Op::IndexRangeSeek {
+        Op::IndexRangeSeek {
+            input,
+            label,
+            key,
+            op,
+            bound,
+            slot,
+        } => Op::IndexRangeSeek {
             input: input.as_ref().map(|i| Box::new(resolve_op(i, db))),
             label: label.clone(),
             key: key.clone(),
@@ -899,7 +960,16 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
             input: input.as_ref().map(|i| Box::new(resolve_op(i, db))),
             slot: *slot,
         },
-        Op::Expand { input, from, to, rel_slot, rel_type, dir, min, max } => Op::Expand {
+        Op::Expand {
+            input,
+            from,
+            to,
+            rel_slot,
+            rel_type,
+            dir,
+            min,
+            max,
+        } => Op::Expand {
             input: Box::new(resolve_op(input, db)),
             from: *from,
             to: *to,
@@ -913,7 +983,15 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
             input: Box::new(resolve_op(input, db)),
             pred: resolve_expr(pred, db),
         },
-        Op::ShortestPath { input, from, to, rel_type, dir, max, path_slot } => Op::ShortestPath {
+        Op::ShortestPath {
+            input,
+            from,
+            to,
+            rel_type,
+            dir,
+            max,
+            path_slot,
+        } => Op::ShortestPath {
             input: Box::new(resolve_op(input, db)),
             from: *from,
             to: *to,
@@ -930,10 +1008,13 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
             input: Box::new(resolve_op(input, db)),
             items: resolve_items(items, db),
         },
-        Op::Distinct { input } => Op::Distinct { input: Box::new(resolve_op(input, db)) },
-        Op::Sort { input, keys } => {
-            Op::Sort { input: Box::new(resolve_op(input, db)), keys: keys.clone() }
-        }
+        Op::Distinct { input } => Op::Distinct {
+            input: Box::new(resolve_op(input, db)),
+        },
+        Op::Sort { input, keys } => Op::Sort {
+            input: Box::new(resolve_op(input, db)),
+            keys: keys.clone(),
+        },
         Op::TopN { input, keys, limit } => Op::TopN {
             input: Box::new(resolve_op(input, db)),
             keys: keys.clone(),
@@ -945,7 +1026,10 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
         },
         Op::Let { input, bindings } => Op::Let {
             input: Box::new(resolve_op(input, db)),
-            bindings: bindings.iter().map(|(s, e)| (*s, resolve_expr(e, db))).collect(),
+            bindings: bindings
+                .iter()
+                .map(|(s, e)| (*s, resolve_expr(e, db)))
+                .collect(),
         },
         Op::DistinctBy { input, exprs } => Op::DistinctBy {
             input: Box::new(resolve_op(input, db)),
@@ -953,16 +1037,27 @@ fn resolve_op(op: &Op, db: &GraphDb) -> Op {
         },
         Op::SortBy { input, keys } => Op::SortBy {
             input: Box::new(resolve_op(input, db)),
-            keys: keys.iter().map(|(e, d)| (resolve_expr(e, db), *d)).collect(),
+            keys: keys
+                .iter()
+                .map(|(e, d)| (resolve_expr(e, db), *d))
+                .collect(),
         },
-        Op::AggregateBy { input, groups, count_slot } => Op::AggregateBy {
+        Op::AggregateBy {
+            input,
+            groups,
+            count_slot,
+        } => Op::AggregateBy {
             input: Box::new(resolve_op(input, db)),
-            groups: groups.iter().map(|(s, e)| (*s, resolve_expr(e, db))).collect(),
+            groups: groups
+                .iter()
+                .map(|(s, e)| (*s, resolve_expr(e, db)))
+                .collect(),
             count_slot: *count_slot,
         },
-        Op::Counter { input, id } => {
-            Op::Counter { input: Box::new(resolve_op(input, db)), id: *id }
-        }
+        Op::Counter { input, id } => Op::Counter {
+            input: Box::new(resolve_op(input, db)),
+            id: *id,
+        },
     }
 }
 
@@ -983,7 +1078,8 @@ mod tests {
             .collect();
         for i in 0..40usize {
             for d in 1..=(i % 5) {
-                tx.create_rel(users[i], users[(i + d) % 40], "follows", &[]).unwrap();
+                tx.create_rel(users[i], users[(i + d) % 40], "follows", &[])
+                    .unwrap();
             }
         }
         tx.commit().unwrap();
@@ -1041,7 +1137,11 @@ mod tests {
         let tuple_counts = ctx.take_counters();
         let ctx = ExecContext::new(&db, &params, descs.len());
         let vec = execute_vec(&plan, &ctx).unwrap();
-        assert_eq!(tuple_counts, ctx.take_counters(), "per-operator row counts must agree");
+        assert_eq!(
+            tuple_counts,
+            ctx.take_counters(),
+            "per-operator row counts must agree"
+        );
         assert_eq!(tuple, vec);
     }
 
@@ -1054,11 +1154,20 @@ mod tests {
         let bare = sample_db(false);
         for (q, seek) in [
             ("MATCH (a:user {uid: 3}) RETURN a.uid", "NodeIndexSeek"),
-            ("MATCH (a:user) WHERE a.uid IN [3, 1, 3] RETURN a.uid", "NodeIdInSeek"),
-            ("MATCH (a:user) WHERE a.uid > 30 RETURN a.uid", "NodeIndexRangeSeek"),
+            (
+                "MATCH (a:user) WHERE a.uid IN [3, 1, 3] RETURN a.uid",
+                "NodeIdInSeek",
+            ),
+            (
+                "MATCH (a:user) WHERE a.uid > 30 RETURN a.uid",
+                "NodeIndexRangeSeek",
+            ),
         ] {
             let plan = indexed.prepare(q).unwrap();
-            assert!(plan.plan().explain().contains(seek), "{q} planned no {seek}");
+            assert!(
+                plan.plan().explain().contains(seek),
+                "{q} planned no {seek}"
+            );
             let (tuple, vec) = both(plan.plan(), &bare);
             assert_eq!(tuple, vec, "{q}");
             assert_eq!(

@@ -22,8 +22,11 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let db = GraphDb::open_memory(DbConfig { page_cache_pages: 512, dense_node_threshold: 100 })
-        .unwrap();
+    let db = GraphDb::open_memory(DbConfig {
+        page_cache_pages: 512,
+        dense_node_threshold: 100,
+    })
+    .unwrap();
     let mut tx = db.begin_write().unwrap();
     let users: Vec<NodeId> = (1..=5i64)
         .map(|i| {
@@ -38,13 +41,20 @@ fn fixture() -> Fixture {
         .map(|i| {
             tx.create_node(
                 "tweet",
-                &[("tid", Value::Int(i)), ("text", Value::Str(format!("tweet {i}")))],
+                &[
+                    ("tid", Value::Int(i)),
+                    ("text", Value::Str(format!("tweet {i}"))),
+                ],
             )
             .unwrap()
         })
         .collect();
-    let rust = tx.create_node("hashtag", &[("tag", Value::from("rust"))]).unwrap();
-    let dbtag = tx.create_node("hashtag", &[("tag", Value::from("db"))]).unwrap();
+    let rust = tx
+        .create_node("hashtag", &[("tag", Value::from("rust"))])
+        .unwrap();
+    let dbtag = tx
+        .create_node("hashtag", &[("tag", Value::from("db"))])
+        .unwrap();
 
     let posts = [(0usize, 0usize), (1, 1), (2, 2), (0, 3)];
     for (u, t) in posts {
@@ -56,14 +66,25 @@ fn fixture() -> Fixture {
     for (t, u) in [(0usize, 1usize), (0, 2), (1, 1), (2, 0), (3, 1)] {
         tx.create_rel(tweets[t], users[u], "mentions", &[]).unwrap();
     }
-    for (a, b) in [(0usize, 1usize), (0, 2), (1, 2), (2, 3), (3, 4), (4, 0), (1, 0)] {
+    for (a, b) in [
+        (0usize, 1usize),
+        (0, 2),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 0),
+        (1, 0),
+    ] {
         tx.create_rel(users[a], users[b], "follows", &[]).unwrap();
     }
     tx.commit().unwrap();
     db.create_index("user", "uid").unwrap();
     db.create_index("tweet", "tid").unwrap();
     db.create_index("hashtag", "tag").unwrap();
-    Fixture { db: Arc::new(db), users }
+    Fixture {
+        db: Arc::new(db),
+        users,
+    }
 }
 
 fn ints(rows: &[Vec<Value>], col: usize) -> Vec<i64> {
@@ -189,8 +210,11 @@ fn q4_1_varlength_phrasing_counts_paths() {
         )
         .unwrap();
     // 2-paths from u1: u1->u2->u3, u1->u2->u1, u1->u3->u4.
-    let pairs: Vec<(i64, i64)> =
-        r.rows.iter().map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap())).collect();
+    let pairs: Vec<(i64, i64)> = r
+        .rows
+        .iter()
+        .map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap()))
+        .collect();
     assert_eq!(pairs, vec![(1, 1), (3, 1), (4, 1)]);
 }
 
@@ -285,7 +309,10 @@ fn plan_cache_disabled() {
     let f = fixture();
     let ql = QueryEngine::with_options(
         f.db.clone(),
-        EngineOptions { plan_cache: false, ..EngineOptions::standard() },
+        EngineOptions {
+            plan_cache: false,
+            ..EngineOptions::standard()
+        },
     );
     let q = "MATCH (a:user {uid: $uid})-[:follows]->(f) RETURN f.uid";
     for _ in 0..3 {
@@ -312,7 +339,9 @@ fn db_hits_reported() {
 fn limit_without_order() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
-    let r = ql.query("MATCH (u:user) RETURN u.uid LIMIT 2", &[]).unwrap();
+    let r = ql
+        .query("MATCH (u:user) RETURN u.uid LIMIT 2", &[])
+        .unwrap();
     assert_eq!(r.rows.len(), 2);
 }
 
@@ -320,7 +349,9 @@ fn limit_without_order() {
 fn limit_zero() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
-    let r = ql.query("MATCH (u:user) RETURN u.uid LIMIT 0", &[]).unwrap();
+    let r = ql
+        .query("MATCH (u:user) RETURN u.uid LIMIT 0", &[])
+        .unwrap();
     assert!(r.rows.is_empty());
 }
 
@@ -330,7 +361,10 @@ fn order_by_two_keys() {
     let ql = QueryEngine::new(f.db.clone());
     // Group by nothing interesting — order users by followers desc.
     let r = ql
-        .query("MATCH (u:user) RETURN u.followers AS fl, u.uid AS id ORDER BY fl DESC, id ASC", &[])
+        .query(
+            "MATCH (u:user) RETURN u.followers AS fl, u.uid AS id ORDER BY fl DESC, id ASC",
+            &[],
+        )
         .unwrap();
     assert_eq!(ints(&r.rows, 1), vec![5, 4, 3, 2, 1]);
 }
@@ -340,10 +374,14 @@ fn missing_property_is_null_and_filtered() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());
     // tweets have no `followers` property: predicate never holds.
-    let r = ql.query("MATCH (t:tweet) WHERE t.followers > 0 RETURN t.tid", &[]).unwrap();
+    let r = ql
+        .query("MATCH (t:tweet) WHERE t.followers > 0 RETURN t.tid", &[])
+        .unwrap();
     assert!(r.rows.is_empty());
     // But projecting it yields nulls.
-    let r = ql.query("MATCH (t:tweet) RETURN t.followers LIMIT 1", &[]).unwrap();
+    let r = ql
+        .query("MATCH (t:tweet) RETURN t.followers LIMIT 1", &[])
+        .unwrap();
     assert!(r.rows[0][0].is_null());
 }
 
@@ -376,7 +414,10 @@ fn label_filter_on_expanded_node() {
     // All outgoing edges of u1 reach users (follows) and tweets (posts);
     // the :tweet label filter keeps only the tweets.
     let r = ql
-        .query("MATCH (a:user {uid: 1})-[]->(t:tweet) RETURN t.tid ORDER BY t.tid", &[])
+        .query(
+            "MATCH (a:user {uid: 1})-[]->(t:tweet) RETURN t.tid ORDER BY t.tid",
+            &[],
+        )
         .unwrap();
     assert_eq!(ints(&r.rows, 0), vec![1, 4]);
 }
@@ -431,9 +472,15 @@ fn profile_reports_per_operator_rows() {
     // The seek emits 1 row, the expand 2 (u2, u3), the filter 1 (u2).
     let rows: Vec<u64> = p.operators.iter().map(|(_, r)| *r).collect();
     let descs: Vec<&str> = p.operators.iter().map(|(d, _)| d.as_str()).collect();
-    assert!(descs.iter().any(|d| d.contains("NodeIndexSeek")), "{descs:?}");
+    assert!(
+        descs.iter().any(|d| d.contains("NodeIndexSeek")),
+        "{descs:?}"
+    );
     assert!(descs.iter().any(|d| d.contains("Expand")), "{descs:?}");
-    let seek_rows = rows[descs.iter().position(|d| d.contains("NodeIndexSeek")).unwrap()];
+    let seek_rows = rows[descs
+        .iter()
+        .position(|d| d.contains("NodeIndexSeek"))
+        .unwrap()];
     let expand_rows = rows[descs.iter().position(|d| d.contains("Expand")).unwrap()];
     assert_eq!(seek_rows, 1);
     assert_eq!(expand_rows, 2);
@@ -453,7 +500,10 @@ fn profile_and_query_agree() {
     let params = [("uid", Value::Int(2))];
     let plain = ql.query(q, &params).unwrap();
     let profiled = ql.profile(q, &params).unwrap();
-    assert_eq!(plain.rows, profiled.result.rows, "instrumentation must not change results");
+    assert_eq!(
+        plain.rows, profiled.result.rows,
+        "instrumentation must not change results"
+    );
 }
 
 #[test]
@@ -464,8 +514,10 @@ fn relationship_variables_and_type_fn() {
     let a = tx.create_node("user", &[("uid", Value::Int(1))]).unwrap();
     let b = tx.create_node("user", &[("uid", Value::Int(2))]).unwrap();
     let c = tx.create_node("user", &[("uid", Value::Int(3))]).unwrap();
-    tx.create_rel(a, b, "follows", &[("since", Value::Int(2014))]).unwrap();
-    tx.create_rel(a, c, "follows", &[("since", Value::Int(2015))]).unwrap();
+    tx.create_rel(a, b, "follows", &[("since", Value::Int(2014))])
+        .unwrap();
+    tx.create_rel(a, c, "follows", &[("since", Value::Int(2015))])
+        .unwrap();
     tx.create_rel(a, c, "blocks", &[]).unwrap();
     tx.commit().unwrap();
     db.create_index("user", "uid").unwrap();
@@ -495,7 +547,12 @@ fn relationship_variables_and_type_fn() {
     let got: Vec<(String, i64)> = r
         .rows
         .iter()
-        .map(|row| (row[0].as_str().unwrap().to_owned(), row[1].as_int().unwrap()))
+        .map(|row| {
+            (
+                row[0].as_str().unwrap().to_owned(),
+                row[1].as_int().unwrap(),
+            )
+        })
         .collect();
     assert_eq!(
         got,
@@ -508,19 +565,27 @@ fn relationship_variables_and_type_fn() {
 
     // id(r) is usable and distinct per edge.
     let r = ql
-        .query("MATCH (a:user {uid: 1})-[r:follows]->(x) RETURN id(r) ORDER BY id(r)", &[])
+        .query(
+            "MATCH (a:user {uid: 1})-[r:follows]->(x) RETURN id(r) ORDER BY id(r)",
+            &[],
+        )
         .unwrap();
     assert_eq!(r.rows.len(), 2);
     assert_ne!(r.rows[0][0], r.rows[1][0]);
 
     // Missing edge property is null.
     let r = ql
-        .query("MATCH (a:user {uid: 1})-[r:blocks]->(x) RETURN r.since", &[])
+        .query(
+            "MATCH (a:user {uid: 1})-[r:blocks]->(x) RETURN r.since",
+            &[],
+        )
         .unwrap();
     assert!(r.rows[0][0].is_null());
 
     // Rel var on a var-length pattern is a syntax error.
-    assert!(ql.query("MATCH (a)-[r:follows*1..2]->(x) RETURN x", &[]).is_err());
+    assert!(ql
+        .query("MATCH (a)-[r:follows*1..2]->(x) RETURN x", &[])
+        .is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -762,12 +827,19 @@ fn range_seek_tracks_live_follower_updates() {
     f.db.create_index("user", "followers").unwrap();
     let ql = QueryEngine::new(f.db.clone());
     let q = "MATCH (u:user) WHERE u.followers > $th RETURN u.uid ORDER BY u.uid";
-    assert_eq!(ints(&ql.query(q, &[("th", Value::Int(450))]).unwrap().rows, 0), vec![5]);
+    assert_eq!(
+        ints(&ql.query(q, &[("th", Value::Int(450))]).unwrap().rows, 0),
+        vec![5]
+    );
     // u1: 100 → 600 followers; the ordered index must move the entry.
     let mut tx = f.db.begin_write().unwrap();
-    tx.set_node_prop(f.users[0], "followers", Value::Int(600)).unwrap();
+    tx.set_node_prop(f.users[0], "followers", Value::Int(600))
+        .unwrap();
     tx.commit().unwrap();
-    assert_eq!(ints(&ql.query(q, &[("th", Value::Int(450))]).unwrap().rows, 0), vec![1, 5]);
+    assert_eq!(
+        ints(&ql.query(q, &[("th", Value::Int(450))]).unwrap().rows, 0),
+        vec![1, 5]
+    );
 }
 
 #[test]
@@ -852,12 +924,18 @@ fn in_seek_plan_shape_and_estimate() {
     let d = ql
         .describe("MATCH (u:user) WHERE u.uid IN [1, 2, 3] RETURN u.uid ORDER BY u.uid")
         .unwrap();
-    assert!(d.contains("NodeIdInSeek(:user {uid IN …})"), "describe:\n{d}");
+    assert!(
+        d.contains("NodeIdInSeek(:user {uid IN …})"),
+        "describe:\n{d}"
+    );
     // Parameter list: still a seek (the cost model assumes a small batch).
     let d = ql
         .describe("MATCH (u:user) WHERE u.uid IN $uids RETURN u.uid ORDER BY u.uid")
         .unwrap();
-    assert!(d.contains("NodeIdInSeek(:user {uid IN …})"), "describe:\n{d}");
+    assert!(
+        d.contains("NodeIdInSeek(:user {uid IN …})"),
+        "describe:\n{d}"
+    );
     // Multi-hop: a short anchor list out-costs scanning the other end, so
     // the cost-based planner roots the plan at the seek.
     let d = ql
@@ -866,7 +944,10 @@ fn in_seek_plan_shape_and_estimate() {
              RETURN a.uid, t.tid ORDER BY a.uid, t.tid",
         )
         .unwrap();
-    assert!(d.contains("NodeIdInSeek(:user {uid IN …})"), "describe:\n{d}");
+    assert!(
+        d.contains("NodeIdInSeek(:user {uid IN …})"),
+        "describe:\n{d}"
+    );
     // No index on the key → membership stays a Filter, not a seek.
     let d = ql
         .describe("MATCH (u:user) WHERE u.followers IN [100, 300] RETURN u.uid")
@@ -885,7 +966,9 @@ fn in_empty_list_yields_empty_not_error() {
         )
         .unwrap();
     assert!(r.rows.is_empty());
-    let r = ql.query("MATCH (u:user) WHERE u.uid IN [] RETURN u.uid", &[]).unwrap();
+    let r = ql
+        .query("MATCH (u:user) WHERE u.uid IN [] RETURN u.uid", &[])
+        .unwrap();
     assert!(r.rows.is_empty());
 }
 
