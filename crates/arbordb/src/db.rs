@@ -545,25 +545,16 @@ impl GraphDb {
     pub fn rels(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> RelWalk<'_> {
         // Typed, single-direction expansion of a grouped node: start at the
         // group entry and stop after `count` edges.
-        if let Some(t) = rel_type {
-            let gdir = match dir {
-                Direction::Outgoing => Some(GroupDir::Out),
-                Direction::Incoming => Some(GroupDir::In),
-                Direction::Both => None,
+        if let Some(entry) = self.group_entry(node, rel_type, dir) {
+            return RelWalk {
+                db: self,
+                node,
+                next: entry.first,
+                rel_type,
+                dir,
+                remaining: Some(entry.count),
+                error: false,
             };
-            if let Some(gd) = gdir {
-                if let Some(entry) = self.groups.get(node, t, gd) {
-                    return RelWalk {
-                        db: self,
-                        node,
-                        next: entry.first,
-                        rel_type: Some(t),
-                        dir,
-                        remaining: Some(entry.count),
-                        error: false,
-                    };
-                }
-            }
         }
         let first = self.nodes.get(node.raw()).map(|r| r.first_rel).unwrap_or(EdgeId::NONE);
         RelWalk { db: self, node, next: first, rel_type, dir, remaining: None, error: false }
@@ -592,15 +583,8 @@ impl GraphDb {
                 Direction::Both => rec.degree_out as u64 + rec.degree_in as u64,
             }),
             Some(t) => {
-                let gdir = match dir {
-                    Direction::Outgoing => Some(GroupDir::Out),
-                    Direction::Incoming => Some(GroupDir::In),
-                    Direction::Both => None,
-                };
-                if let Some(gd) = gdir {
-                    if let Some(entry) = self.groups.get(node, t, gd) {
-                        return Ok(entry.count);
-                    }
+                if let Some(n) = self.grouped_degree(node, rel_type, dir) {
+                    return Ok(n);
                 }
                 let mut n = 0u64;
                 for r in self.rels(node, Some(t), dir) {
@@ -610,6 +594,23 @@ impl GraphDb {
                 Ok(n)
             }
         }
+    }
+
+    /// Typed, single-direction degree of `node` when its dense-node group
+    /// directory holds it: an in-memory lookup that touches no page. `None`
+    /// for untyped or `Both` walks and for nodes without that group; this
+    /// never falls back to a chain walk (see [`GraphDb::degree`]).
+    pub fn grouped_degree(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> Option<u64> {
+        self.group_entry(node, rel_type, dir).map(|e| e.count)
+    }
+
+    fn group_entry(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> Option<GroupEntry> {
+        let gd = match dir {
+            Direction::Outgoing => GroupDir::Out,
+            Direction::Incoming => GroupDir::In,
+            Direction::Both => return None,
+        };
+        self.groups.get(node, rel_type?, gd)
     }
 
     /// All nodes with `label` (label index scan).

@@ -336,13 +336,17 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
             }
 
             // Incidence lists: (type, dir, edge index) per node, then sort by
-            // (type, dir) to lay chains out grouped.
+            // (type, dir) to lay chains out grouped. dir is 0 for outgoing,
+            // 2 for incoming and 1 for a self-loop (in the chain once), which
+            // sorts it between the two runs so both group entries reach it.
             let n_nodes = db.nodes.count() as usize;
             let mut incidence: Vec<Vec<(u32, u8, u64)>> = vec![Vec::new(); n_nodes];
             for (eid, e) in edges.iter().enumerate() {
-                incidence[e.src.index()].push((e.rel_type, 0, eid as u64));
-                if e.src != e.dst {
-                    incidence[e.dst.index()].push((e.rel_type, 1, eid as u64));
+                if e.src == e.dst {
+                    incidence[e.src.index()].push((e.rel_type, 1, eid as u64));
+                } else {
+                    incidence[e.src.index()].push((e.rel_type, 0, eid as u64));
+                    incidence[e.dst.index()].push((e.rel_type, 2, eid as u64));
                 }
             }
             let threshold = db.groups.threshold() as usize;
@@ -366,44 +370,46 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
 
             for (nid, inc) in incidence.iter().enumerate() {
                 let node = NodeId(nid as u64);
-                let mut prev: Option<(u64, u8)> = None;
-                for &(t, dirflag, eid) in inc {
-                    if let Some((peid, pdir)) = prev {
-                        // Link prev -> this on prev's side, this -> prev back.
-                        if pdir == 0 && recs[peid as usize].src == node {
+                let mut prev: Option<u64> = None;
+                for &(_, _, eid) in inc {
+                    if let Some(peid) = prev {
+                        // Link prev -> this on prev's side, this -> prev back
+                        // (a self-loop is chained through its src pointers).
+                        if recs[peid as usize].src == node {
                             recs[peid as usize].src_next = EdgeId(eid);
                         } else {
                             recs[peid as usize].dst_next = EdgeId(eid);
                         }
-                        if dirflag == 0 && recs[eid as usize].src == node {
+                        if recs[eid as usize].src == node {
                             recs[eid as usize].src_prev = EdgeId(peid);
                         } else {
                             recs[eid as usize].dst_prev = EdgeId(peid);
                         }
                     }
-                    prev = Some((eid, dirflag));
-                    let _ = t;
+                    prev = Some(eid);
                 }
-                // Group entries for dense nodes: contiguous (type, dir) runs.
+                // Group entries for dense nodes, per type: the Out run is
+                // the outgoing edges then the self-loops, the In run the
+                // self-loops then the incoming edges, so a grouped walk in
+                // either direction yields what a chain walk would.
                 if inc.len() > threshold {
                     let mut run_start = 0usize;
                     while run_start < inc.len() {
-                        let (t, d, first_eid) = inc[run_start];
-                        let mut run_end = run_start + 1;
-                        while run_end < inc.len() && inc[run_end].0 == t && inc[run_end].1 == d {
-                            run_end += 1;
+                        let t = inc[run_start].0;
+                        let run = &inc[run_start..];
+                        let run = &run[..run.partition_point(|e| e.0 == t)];
+                        let loops_start = run.partition_point(|e| e.1 < 1);
+                        let ins_start = run.partition_point(|e| e.1 < 2);
+                        for (gd, lo, hi) in
+                            [(GroupDir::Out, 0, ins_start), (GroupDir::In, loops_start, run.len())]
+                        {
+                            if lo < hi {
+                                let entry =
+                                    GroupEntry { first: EdgeId(run[lo].2), count: (hi - lo) as u64 };
+                                db.groups.insert(node, t, gd, entry);
+                            }
                         }
-                        let gd = if d == 0 { GroupDir::Out } else { GroupDir::In };
-                        db.groups.insert(
-                            node,
-                            t,
-                            gd,
-                            GroupEntry {
-                                first: EdgeId(first_eid),
-                                count: (run_end - run_start) as u64,
-                            },
-                        );
-                        run_start = run_end;
+                        run_start += run.len();
                     }
                 }
             }
@@ -696,6 +702,52 @@ mod tests {
             .iter()
             .any(|(l, _)| l.contains("follows")), "markers: {:?}", report.edge_curve.markers);
         assert!(report.total_ms > 0.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn grouped_walks_reach_self_loops_in_both_directions() {
+        // A self-loop is in its node's chain once; both typed group runs
+        // must still yield it, as an ungrouped chain walk does, before and
+        // after a transactional write unlinks one of them.
+        let dir = tmpdir("loops");
+        let mut source = tiny_source(&dir);
+        source.rels[0].path =
+            write_file(&dir, "follows.csv", "1,1\n1,2\n2,1\n1,1\n3,1\n1,3\n2,2\n");
+        let open = |threshold| {
+            let db = GraphDb::open_memory(DbConfig { page_cache_pages: 512, dense_node_threshold: threshold })
+                .unwrap();
+            bulk_import(&db, &source, &ImportOptions::default()).unwrap();
+            db
+        };
+        let (grouped, plain) = (open(1), open(1000));
+        let follows = grouped.rel_type_id("follows");
+        let walk = |db: &GraphDb, uid: i64, dir: Direction| {
+            let n = db.index_seek("user", "uid", &Value::Int(uid)).unwrap()[0];
+            let mut v: Vec<u64> = db.neighbors(n, follows, dir).map(|r| r.unwrap().raw()).collect();
+            v.sort_unstable();
+            v
+        };
+        let alice = grouped.index_seek("user", "uid", &Value::Int(1)).unwrap()[0];
+        assert_eq!(grouped.grouped_degree(alice, follows, Direction::Outgoing), Some(4));
+        assert_eq!(grouped.grouped_degree(alice, follows, Direction::Incoming), Some(4));
+        assert_eq!(plain.grouped_degree(alice, follows, Direction::Outgoing), None);
+        for uid in 1..=3 {
+            for d in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
+                assert_eq!(walk(&grouped, uid, d), walk(&plain, uid, d), "uid {uid} {d:?}");
+            }
+        }
+        // Unlink one self-loop: the chain pointers the importer wrote must
+        // splice cleanly.
+        for db in [&grouped, &plain] {
+            let lp = db.rels(alice, follows, Direction::Outgoing).map(|r| r.unwrap()).find(|(_, r)| r.dst == alice);
+            let mut tx = db.begin_write().unwrap();
+            tx.delete_rel(lp.unwrap().0).unwrap();
+            tx.commit().unwrap();
+        }
+        for d in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
+            assert_eq!(walk(&grouped, 1, d), walk(&plain, 1, d), "{d:?} after delete");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

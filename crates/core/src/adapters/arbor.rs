@@ -794,6 +794,32 @@ mod tests {
     use micrograph_datagen::{generate, GenConfig};
 
     #[test]
+    fn q4_anti_pattern_adds_at_most_half_the_db_hits() {
+        // `NOT (a)-[:follows]->(r)` builds the anchor's followee set once
+        // per execution, so Q4.1 and Q4.2 as served may cost at most 1.5×
+        // the db hits of the same text without that conjunct (summed over
+        // fixed uids of a fixed dataset: db hits are deterministic).
+        let ds = generate(&GenConfig::small());
+        let dir = micrograph_common::unique_temp_dir("core-q4-db-hits");
+        let (arbor, _bit, _) = crate::ingest::build_engines(&ds.write_csv(&dir).unwrap()).unwrap();
+        for text in [Q4_1_B, Q4_2] {
+            let unfiltered = text.replace("NOT (a)-[:follows]->(r) AND ", "");
+            assert_ne!(unfiltered, text);
+            let hits = |text: &str| -> u64 {
+                (1..=40)
+                    .map(|uid| {
+                        let params = [("uid", Value::Int(uid)), ("n", Value::Int(10))];
+                        arbor.ql().profile(text, &params).unwrap().result.stats.db_hits
+                    })
+                    .sum()
+            };
+            let (served, bare) = (hits(text), hits(&unfiltered));
+            assert!(2 * served <= 3 * bare, "{served} db hits served vs {bare} unfiltered: {text}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn every_adapter_text_runs_alike_through_both_executors() {
         // The tuple interpreter is the reference for the vectorized
         // executor the engine serves through: on every text the adapter
