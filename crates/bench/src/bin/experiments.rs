@@ -20,7 +20,8 @@
 //! Series are printed as aligned tables with a sparkline and written as CSV
 //! under the output directory. An unknown command, scale or `fig4` panel,
 //! or an argument to a command that takes none, exits with status 2 before
-//! the fixture is built.
+//! the fixture is built. The fixture's temp directory is removed once the
+//! command finishes.
 
 use std::path::{Path, PathBuf};
 
@@ -86,7 +87,7 @@ struct Args {
 
 /// Parses the command line (without the program name).
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut scale = Scale::from_env(Scale::Small);
+    let mut scale = Scale::Small;
     let mut out = PathBuf::from("results");
     let mut command = String::new();
     let mut rest = Vec::new();
@@ -137,10 +138,7 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    eprintln!(
-        "# building fixture at scale {:?} (set --scale / MICROGRAPH_SCALE to change)...",
-        args.scale
-    );
+    eprintln!("# building fixture at scale {:?} (set --scale to change)...", args.scale);
     let f = fixture(args.scale);
     eprintln!(
         "# fixture ready: {} nodes, {} edges\n",
@@ -188,6 +186,10 @@ fn main() {
             print!("{}", figures::update_throughput(f));
             print!("{}", figures::chaos(f));
         }
+    }
+    // The fixture lives in a `OnceLock` and is never dropped.
+    if let Err(e) = std::fs::remove_dir_all(&f.dir) {
+        eprintln!("# could not remove {}: {e}", f.dir.display());
     }
 }
 

@@ -17,7 +17,7 @@
 use arbor_ql::EngineOptions;
 use arbor_ql::plan::PlannerOptions;
 use micrograph_common::rng::SplitMix64;
-use micrograph_common::stats::ProgressCurve;
+use micrograph_common::stats::{percentile, ProgressCurve};
 use micrograph_core::adapters::RecommendationPhrasing;
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::ingest::ingest_bit;
@@ -336,29 +336,63 @@ pub fn d1_plan_cache(f: &Fixture) -> String {
     )
 }
 
-/// D2 — the three recommendation phrasings.
+/// Rounds behind each D2/D3 figure: one `figure_protocol` measurement of
+/// a phrasing or plan swings by ±30% on a shared host, so each arm
+/// reports its median over this many rounds.
+const ROUNDS: usize = 7;
+
+/// Runs every arm once per round for [`ROUNDS`] rounds, round `r` starting
+/// at arm `r mod n` so no arm always runs first, and returns each arm's
+/// samples in arm order.
+fn rounds(arms: &[&dyn Fn() -> f64]) -> Vec<Vec<f64>> {
+    let mut samples = vec![Vec::with_capacity(ROUNDS); arms.len()];
+    for r in 0..ROUNDS {
+        for i in 0..arms.len() {
+            let arm = (r + i) % arms.len();
+            samples[arm].push(arms[arm]());
+        }
+    }
+    samples
+}
+
+/// The median of `samples` and its rendering with the min–max range.
+fn median(samples: &[f64]) -> (f64, String) {
+    let m = percentile(samples, 50.0);
+    let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (m, format!("{m:.3} ms ({lo:.3}–{hi:.3})"))
+}
+
+/// D2 — the three recommendation phrasings, median of [`ROUNDS`] rounds.
 pub fn d2_phrasings(f: &Fixture) -> String {
     let (uid, _) = f.users_by_out_degree()[0];
+    let time = |phrasing| {
+        measure(&figure_protocol(), || f.arbor.recommend_phrasing(phrasing, uid, 10).map(|_| ()))
+            .expect("measure")
+            .avg_ms
+    };
+    let samples = rounds(&[
+        &|| time(RecommendationPhrasing::VarLength),
+        &|| time(RecommendationPhrasing::Canonical),
+        &|| time(RecommendationPhrasing::Undirected),
+    ]);
     let mut out = String::new();
-    for (label, phrasing) in [
-        ("(a) [:follows*2..2]", RecommendationPhrasing::VarLength),
-        ("(b) explicit 2-step", RecommendationPhrasing::Canonical),
-        ("(c) undirected *2..2", RecommendationPhrasing::Undirected),
-    ] {
-        let m = measure(&figure_protocol(), || {
-            f.arbor.recommend_phrasing(phrasing, uid, 10).map(|_| ())
-        })
-        .expect("measure");
-        out.push_str(&format!(
-            "D2 phrasing {label:<22} {:.3} ms (uid {uid})\n",
-            m.avg_ms
-        ));
+    let mut medians = Vec::new();
+    let labels = ["(a) [:follows*2..2]", "(b) explicit 2-step", "(c) undirected *2..2"];
+    for (label, s) in labels.iter().zip(&samples) {
+        let (m, text) = median(s);
+        medians.push(m);
+        out.push_str(&format!("D2 phrasing {label:<22} {text} (uid {uid}, median of {ROUNDS})\n"));
     }
+    out.push_str(&format!(
+        "D2 (c) / slower of (a), (b): {:.2}x\n",
+        medians[2] / medians[0].max(medians[1]).max(1e-9)
+    ));
     out
 }
 
 /// D3 — TopN pushdown on/off, plus the navigation engine's forced full
-/// retrieval.
+/// retrieval, median of [`ROUNDS`] rounds.
 pub fn d3_topn_pushdown(f: &Fixture) -> String {
     // Head users: the ordering/limiting overhead only matters when the
     // aggregated candidate set is large.
@@ -372,7 +406,7 @@ pub fn d3_topn_pushdown(f: &Fixture) -> String {
             ..EngineOptions::standard()
         },
     );
-    let time = |e: &ArborEngine| -> f64 {
+    let time = |e: &dyn MicroblogEngine| -> f64 {
         let mut total = 0.0;
         for &(uid, _) in &subjects {
             let m = measure(&figure_protocol(), || e.recommend_followees(uid, 10).map(|_| ()))
@@ -381,20 +415,13 @@ pub fn d3_topn_pushdown(f: &Fixture) -> String {
         }
         total / subjects.len() as f64
     };
-    let bit_time = {
-        let mut total = 0.0;
-        for &(uid, _) in &subjects {
-            let m = measure(&figure_protocol(), || f.bit.recommend_followees(uid, 10).map(|_| ()))
-                .expect("measure");
-            total += m.avg_ms;
-        }
-        total / subjects.len() as f64
-    };
+    let samples = rounds(&[&|| time(&with), &|| time(&without), &|| time(&f.bit)]);
+    let (topn, topn_text) = median(&samples[0]);
+    let (sort, sort_text) = median(&samples[1]);
     format!(
-        "D3 top-n (Q4.1, n=10): TopN pushdown {:.3} ms vs Sort+Limit {:.3} ms; bitgraph full-retrieve+sort {:.3} ms\n",
-        time(&with),
-        time(&without),
-        bit_time
+        "D3 top-n (Q4.1, n=10, median of {ROUNDS}): TopN pushdown {topn_text} vs Sort+Limit {sort_text} ({:.2}x); bitgraph full-retrieve+sort {}\n",
+        sort / topn.max(1e-9),
+        median(&samples[2]).1
     )
 }
 
@@ -419,75 +446,83 @@ pub fn d4_cold_cache(f: &Fixture) -> String {
     out
 }
 
-/// D5 — neighbor-materialization import blow-up at two scales.
+/// D5 — neighbor-materialization import blow-up. Both stores are deleted
+/// once measured (the materialized one is ~1 GB at medium scale).
 pub fn d5_materialization(f: &Fixture) -> String {
     use bitgraph::loader::{LoadConfig, LoadOptions};
-    let base = LoadConfig::default();
-    let mut out = String::new();
-    let (_g1, off) = ingest_bit(
-        &f.files,
-        Some(&f.dir.join("d5-off.gdb")),
-        base.clone(),
-        &LoadOptions::default(),
-    )
-    .expect("load");
-    let (_g2, on) = ingest_bit(
-        &f.files,
-        Some(&f.dir.join("d5-on.gdb")),
-        LoadConfig { materialize: true, ..base },
-        &LoadOptions::default(),
-    )
-    .expect("load");
-    out.push_str(&format!(
+    let load = |name: &str, materialize: bool| {
+        let path = f.dir.join(name);
+        let config = LoadConfig { materialize, ..LoadConfig::default() };
+        let (graph, report) =
+            ingest_bit(&f.files, Some(&path), config, &LoadOptions::default()).expect("load");
+        drop(graph);
+        std::fs::remove_file(&path).expect("remove D5 store");
+        report
+    };
+    let off = load("d5-off.gdb", false);
+    let on = load("d5-on.gdb", true);
+    format!(
         "D5 materialization: off {:.0} ms / {} bytes; on {:.0} ms / {} bytes ({:.1}x bytes)\n",
         off.total_ms,
         off.disk_bytes,
         on.total_ms,
         on.disk_bytes,
         on.disk_bytes as f64 / off.disk_bytes.max(1) as f64
-    ));
-    out
+    )
 }
 
 /// FW1 — the §5 future-work update workload: event-application throughput
-/// on both engines over a fresh copy of the fixture's dataset.
+/// on both engines over fresh copies of the fixture's dataset, once per
+/// event through `apply_event` and once in group-commit batches through
+/// `apply_event_batch` (DESIGN.md §4j).
 pub fn update_throughput(f: &Fixture) -> String {
-    use micrograph_core::ingest::{build_engines, ingest_arbor};
+    use bitgraph::loader::{LoadConfig, LoadOptions};
+    use micrograph_core::ingest::ingest_arbor;
+    use micrograph_core::BitEngine;
     use micrograph_datagen::{StreamGen, StreamMix};
 
     const EVENTS: usize = 2_000;
+    const BATCH: usize = 256;
     let config = crate::fixture::Scale::Small.config();
     // Events continue the fixture's dataset; engines are rebuilt so the
     // fixture itself stays immutable for other experiments.
     let mut events_gen = StreamGen::new(&f.dataset, &config, 7, StreamMix::default());
     let events = events_gen.events(EVENTS);
 
-    let (db, _) = ingest_arbor(
-        &f.files,
-        Some(&f.dir.join("fw1-arbordb")),
-        arbordb::db::DbConfig::default(),
-        &arbordb::import::ImportOptions::default(),
-    )
-    .expect("ingest");
-    let arbor = ArborEngine::new(db);
-    let (_a2, bit, _) = build_engines(&f.files).expect("ingest");
-    // One generic application path for both engines, through the trait.
-    let apply_all = |engine: &dyn MicroblogEngine| -> f64 {
-        let t = micrograph_common::stats::Timer::start();
-        for e in &events {
-            engine.apply_event(e).expect("apply");
-        }
-        t.elapsed_ms()
+    let fresh = |tag: &str| -> (ArborEngine, BitEngine) {
+        let (db, _) = ingest_arbor(
+            &f.files,
+            Some(&f.dir.join(format!("fw1-arbordb-{tag}"))),
+            arbordb::db::DbConfig::default(),
+            &arbordb::import::ImportOptions::default(),
+        )
+        .expect("ingest");
+        let (g, _) = ingest_bit(&f.files, None, LoadConfig::default(), &LoadOptions::default())
+            .expect("ingest");
+        (ArborEngine::new(db), BitEngine::new(g).expect("bitgraph"))
     };
-    let arbor_ms = apply_all(&arbor);
-    let bit_ms = apply_all(&bit);
-
-    format!(
-        "FW1 update workload ({EVENTS} events): arbordb {:.0} ev/s (WAL commit per event, disk) vs bitgraph {:.0} ev/s (in-memory + extent log)
-",
-        EVENTS as f64 / arbor_ms * 1000.0,
-        EVENTS as f64 / bit_ms * 1000.0,
-    )
+    // One generic application path for both engines, through the trait.
+    let rate = |engine: &dyn MicroblogEngine, batch: usize| -> f64 {
+        let t = micrograph_common::stats::Timer::start();
+        for chunk in events.chunks(batch) {
+            if batch == 1 { engine.apply_event(&chunk[0]) } else { engine.apply_event_batch(chunk) }
+                .expect("apply");
+        }
+        EVENTS as f64 / t.elapsed_ms() * 1000.0
+    };
+    let (arbor, bit) = fresh("event");
+    let (arbor_batched, bit_batched) = fresh("batch");
+    let mut out = format!("FW1 update workload ({EVENTS} events, per event vs batches of {BATCH}):\n");
+    for (name, each, batched) in [
+        ("arbordb (WAL commit per write, disk)", rate(&arbor, 1), rate(&arbor_batched, BATCH)),
+        ("bitgraph (snapshot publish per write)", rate(&bit, 1), rate(&bit_batched, BATCH)),
+    ] {
+        out.push_str(&format!(
+            "  {name:<38} {each:>9.0} ev/s vs {batched:>9.0} ev/s ({:.1}x)\n",
+            batched / each
+        ));
+    }
+    out
 }
 
 /// The chaos-serving experiment: deterministic fault injection against the
@@ -576,4 +611,28 @@ pub fn import_summary(f: &Fixture) -> String {
         f.reports.arbor.intermediate_ms, f.reports.arbor.index_build_ms, f.reports.bit.flush_stalls,
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    #[test]
+    fn rounds_rotate_the_first_arm_and_report_the_median() {
+        let order = RefCell::new(Vec::new());
+        let arm = |i: usize| {
+            let order = &order;
+            move || {
+                order.borrow_mut().push(i);
+                i as f64
+            }
+        };
+        let (a, b, c) = (arm(0), arm(1), arm(2));
+        let samples = rounds(&[&a, &b, &c]);
+        assert_eq!(samples, vec![vec![0.0; ROUNDS], vec![1.0; ROUNDS], vec![2.0; ROUNDS]]);
+        let firsts: Vec<usize> = order.borrow().chunks(3).map(|r| r[0]).collect();
+        assert_eq!(firsts, [0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), (2.0, "2.000 ms (1.000–3.000)".to_owned()));
+    }
 }

@@ -15,7 +15,7 @@ use micrograph_datagen::{generate, CsvFiles, Dataset, GenConfig};
 pub enum Scale {
     /// ~400 users: smoke tests of the harness itself.
     Unit,
-    /// ~2 000 users: criterion microbenches.
+    /// ~2 000 users: the `experiments` default.
     Small,
     /// ~20 000 users / ~300k edges: the figures.
     Medium,
@@ -28,16 +28,6 @@ impl Scale {
             Scale::Unit => GenConfig { users: 400, ..GenConfig::small() },
             Scale::Small => GenConfig::small(),
             Scale::Medium => GenConfig::medium(),
-        }
-    }
-
-    /// Reads `MICROGRAPH_SCALE` (unit/small/medium), defaulting to `default`.
-    pub fn from_env(default: Scale) -> Scale {
-        match std::env::var("MICROGRAPH_SCALE").as_deref() {
-            Ok("unit") => Scale::Unit,
-            Ok("small") => Scale::Small,
-            Ok("medium") => Scale::Medium,
-            _ => default,
         }
     }
 }
@@ -54,7 +44,8 @@ pub struct Fixture {
     pub bit: BitEngine,
     /// Ingest reports captured while building.
     pub reports: IngestReports,
-    /// Working directory (temp; not cleaned while the process lives).
+    /// Working directory under the temp dir. The fixture is never dropped,
+    /// so its owner removes this once done (`experiments` does after its command).
     pub dir: PathBuf,
 }
 
@@ -158,6 +149,7 @@ mod tests {
         let picked = Fixture::spread(&by_mentions, 5);
         assert_eq!(picked.len(), 5);
         assert_eq!(picked[0], by_mentions[0], "head included");
+        std::fs::remove_dir_all(&f.dir).unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Benchmark harness shared by the criterion benches and the `experiments`
-//! binary that regenerates every table and figure of the paper.
+//! The `experiments` binary's library: fixtures, figure generators and
+//! report rendering that regenerate every table and figure of the paper.
+//! Serving throughput and latency are measured by `perfbench` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -218,7 +218,7 @@ impl ArborEngine {
     }
 
     /// A shared handle to the database (for building alternate-option
-    /// engines over the same store in ablation benches).
+    /// engines over the same store in the §4 ablations).
     pub fn db_arc(&self) -> Arc<GraphDb> {
         self.db.clone()
     }

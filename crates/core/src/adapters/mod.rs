@@ -3,7 +3,7 @@
 //! [`ArborEngine`] speaks the declarative route the paper used with its
 //! first system (ArborQL text with parameters, plan cache warm); it also
 //! exposes the imperative traversal-framework variants and the three §4
-//! recommendation phrasings for the ablation benches.
+//! recommendation phrasings for the §4 ablations.
 //!
 //! [`BitEngine`] speaks the imperative route of the second system:
 //! `find_object` → `neighbors`/`explode` navigation, hash-map counting, and

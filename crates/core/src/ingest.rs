@@ -303,24 +303,14 @@ pub fn build_engines(files: &CsvFiles) -> Result<(ArborEngine, BitEngine, Ingest
 /// settings, and returns one [`ShardedEngine`] per backend
 /// (arbordb-backed, bitgraph-backed). The engines run with the default
 /// [`crate::shard::ScatterMode::Parallel`]; flip one with
-/// `set_scatter_mode` (answers are byte-identical either way).
+/// `set_scatter_mode` (answers are byte-identical either way). This is
+/// [`build_replicated_engines`] at one replica per shard.
 pub fn build_sharded_engines(
     dataset: &Dataset,
     dir: &Path,
     shards: usize,
 ) -> Result<(ShardedEngine, ShardedEngine)> {
-    let parts = partition_dataset(dataset, shards);
-    let mut arbors: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(shards);
-    let mut bits: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(shards);
-    for (i, part) in parts.iter().enumerate() {
-        let files = part
-            .write_csv(&dir.join(format!("shard-{i}")))
-            .map_err(|e| CoreError::Ingest(e.to_string()))?;
-        let (arbor, bit, _) = build_engines(&files)?;
-        arbors.push(Box::new(arbor));
-        bits.push(Box::new(bit));
-    }
-    Ok((ShardedEngine::new(arbors), ShardedEngine::new(bits)))
+    build_replicated_engines(dataset, dir, shards, 1)
 }
 
 /// Like [`build_sharded_engines`], but wraps every shard of both backends
@@ -330,7 +320,8 @@ pub fn build_sharded_engines(
 /// partitions, same data, faults injected at the shard boundary. Scatter
 /// execution defaults to parallel here too — fault decisions are pure per
 /// `(shard, method, args, attempt)`, so chaos digests match the sequential
-/// oracle.
+/// oracle. This is [`build_chaos_replicated_engines`] at one replica per
+/// shard.
 pub fn build_chaos_sharded_engines(
     dataset: &Dataset,
     dir: &Path,
@@ -339,61 +330,29 @@ pub fn build_chaos_sharded_engines(
     policy: RetryPolicy,
     mode: DegradationMode,
 ) -> Result<(ShardedEngine, ShardedEngine)> {
-    let parts = partition_dataset(dataset, shards);
-    let mut arbors: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(shards);
-    let mut bits: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(shards);
-    for (i, part) in parts.iter().enumerate() {
-        let files = part
-            .write_csv(&dir.join(format!("shard-{i}")))
-            .map_err(|e| CoreError::Ingest(e.to_string()))?;
-        let (arbor, bit, _) = build_engines(&files)?;
-        arbors.push(Box::new(ChaosEngine::new(Box::new(arbor), plan, i as u64)));
-        bits.push(Box::new(ChaosEngine::new(Box::new(bit), plan, i as u64)));
-    }
-    Ok((
-        ShardedEngine::new(arbors).with_policy(policy).with_degradation(mode),
-        ShardedEngine::new(bits).with_policy(policy).with_degradation(mode),
-    ))
+    build_chaos_replicated_engines(dataset, dir, shards, 1, |_, _| plan, policy, mode)
 }
 
 /// Like [`build_sharded_engines`], but every shard slot is an R-way
 /// [`crate::shard`] replica group (DESIGN.md §4i): each partition's CSV
 /// bundle is written once and ingested `replicas` times per backend, so
-/// all replicas of a shard hold identical data. With `replicas = 1` this
-/// is exactly [`build_sharded_engines`] — same name, same digests.
+/// all replicas of a shard hold identical data.
 pub fn build_replicated_engines(
     dataset: &Dataset,
     dir: &Path,
     shards: usize,
     replicas: usize,
 ) -> Result<(ShardedEngine, ShardedEngine)> {
-    let parts = partition_dataset(dataset, shards);
-    let mut arbors: Vec<Vec<Box<dyn MicroblogEngine>>> = Vec::with_capacity(shards);
-    let mut bits: Vec<Vec<Box<dyn MicroblogEngine>>> = Vec::with_capacity(shards);
-    for (i, part) in parts.iter().enumerate() {
-        let files = part
-            .write_csv(&dir.join(format!("shard-{i}")))
-            .map_err(|e| CoreError::Ingest(e.to_string()))?;
-        let mut arbor_group: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(replicas);
-        let mut bit_group: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(replicas);
-        for _ in 0..replicas {
-            let (arbor, bit, _) = build_engines(&files)?;
-            arbor_group.push(Box::new(arbor));
-            bit_group.push(Box::new(bit));
-        }
-        arbors.push(arbor_group);
-        bits.push(bit_group);
-    }
+    let (arbors, bits) = build_replica_groups(dataset, dir, shards, replicas, |_, _, e| e)?;
     Ok((ShardedEngine::new_replicated(arbors), ShardedEngine::new_replicated(bits)))
 }
 
 /// Like [`build_replicated_engines`], but wraps every replica of every
 /// shard in a [`ChaosEngine`] under the plan `plan_for(shard, replica)`
 /// returns, salted by the flat replica index `shard * replicas + replica`
-/// — at R = 1 that reduces to the shard index, so an R = 1 chaos build
-/// faults **identically** to [`build_chaos_sharded_engines`]. The
-/// per-slot plan closure is what the permanent-fault tests use to kill
-/// one replica of every shard while its groupmates stay clean.
+/// — at R = 1 that reduces to the shard index. The per-slot plan closure
+/// is what the permanent-fault tests use to kill one replica of every
+/// shard while its groupmates stay clean.
 pub fn build_chaos_replicated_engines(
     dataset: &Dataset,
     dir: &Path,
@@ -403,10 +362,33 @@ pub fn build_chaos_replicated_engines(
     policy: RetryPolicy,
     mode: DegradationMode,
 ) -> Result<(ShardedEngine, ShardedEngine)> {
-    let parts = partition_dataset(dataset, shards);
-    let mut arbors: Vec<Vec<Box<dyn MicroblogEngine>>> = Vec::with_capacity(shards);
-    let mut bits: Vec<Vec<Box<dyn MicroblogEngine>>> = Vec::with_capacity(shards);
-    for (i, part) in parts.iter().enumerate() {
+    let (arbors, bits) = build_replica_groups(dataset, dir, shards, replicas, |i, r, e| {
+        let salt = (i * replicas + r) as u64;
+        Box::new(ChaosEngine::new(e, plan_for(i, r), salt))
+    })?;
+    Ok((
+        ShardedEngine::new_replicated(arbors).with_policy(policy).with_degradation(mode),
+        ShardedEngine::new_replicated(bits).with_policy(policy).with_degradation(mode),
+    ))
+}
+
+/// Per-backend replica groups: `groups[shard][replica]`.
+type ReplicaGroups = Vec<Vec<Box<dyn MicroblogEngine>>>;
+
+/// The one partition-and-ingest loop behind the sharded builders: writes
+/// each partition's CSV bundle once under `dir/shard-N`, ingests it
+/// `replicas` times into both backends, and passes every engine through
+/// `wrap(shard, replica, engine)`.
+fn build_replica_groups(
+    dataset: &Dataset,
+    dir: &Path,
+    shards: usize,
+    replicas: usize,
+    wrap: impl Fn(usize, usize, Box<dyn MicroblogEngine>) -> Box<dyn MicroblogEngine>,
+) -> Result<(ReplicaGroups, ReplicaGroups)> {
+    let mut arbors: ReplicaGroups = Vec::with_capacity(shards);
+    let mut bits: ReplicaGroups = Vec::with_capacity(shards);
+    for (i, part) in partition_dataset(dataset, shards).iter().enumerate() {
         let files = part
             .write_csv(&dir.join(format!("shard-{i}")))
             .map_err(|e| CoreError::Ingest(e.to_string()))?;
@@ -414,18 +396,13 @@ pub fn build_chaos_replicated_engines(
         let mut bit_group: Vec<Box<dyn MicroblogEngine>> = Vec::with_capacity(replicas);
         for r in 0..replicas {
             let (arbor, bit, _) = build_engines(&files)?;
-            let plan = plan_for(i, r);
-            let salt = (i * replicas + r) as u64;
-            arbor_group.push(Box::new(ChaosEngine::new(Box::new(arbor), plan, salt)));
-            bit_group.push(Box::new(ChaosEngine::new(Box::new(bit), plan, salt)));
+            arbor_group.push(wrap(i, r, Box::new(arbor)));
+            bit_group.push(wrap(i, r, Box::new(bit)));
         }
         arbors.push(arbor_group);
         bits.push(bit_group);
     }
-    Ok((
-        ShardedEngine::new_replicated(arbors).with_policy(policy).with_degradation(mode),
-        ShardedEngine::new_replicated(bits).with_policy(policy).with_degradation(mode),
-    ))
+    Ok((arbors, bits))
 }
 
 #[cfg(test)]
