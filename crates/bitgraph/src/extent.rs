@@ -31,7 +31,11 @@ pub struct ExtentConfig {
 
 impl Default for ExtentConfig {
     fn default() -> Self {
-        ExtentConfig { extent_size: 64 * 1024, cache_bytes: 8 * 1024 * 1024, recovery: false }
+        ExtentConfig {
+            extent_size: 64 * 1024,
+            cache_bytes: 8 * 1024 * 1024,
+            recovery: false,
+        }
     }
 }
 
@@ -50,7 +54,11 @@ pub struct ExtentStore {
 impl ExtentStore {
     /// Creates (truncating) a store at `path`.
     pub fn create(path: &Path, config: ExtentConfig) -> Result<Self> {
-        let file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
         Ok(ExtentStore {
             path: path.to_path_buf(),
             file,
@@ -82,7 +90,8 @@ impl ExtentStore {
     /// Appends one length-prefixed record. Returns `true` when this append
     /// triggered a cache flush (the Figure 3 stall).
     pub fn append(&mut self, record: &[u8]) -> Result<bool> {
-        self.current.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        self.current
+            .extend_from_slice(&(record.len() as u32).to_le_bytes());
         self.current.extend_from_slice(record);
         if self.current.len() >= self.config.extent_size {
             let full = std::mem::replace(
@@ -181,7 +190,11 @@ mod tests {
         let path = tmp("rt.gdb");
         let mut s = ExtentStore::create(
             &path,
-            ExtentConfig { extent_size: 64, cache_bytes: 256, recovery: true },
+            ExtentConfig {
+                extent_size: 64,
+                cache_bytes: 256,
+                recovery: true,
+            },
         )
         .unwrap();
         for i in 0..50u32 {
@@ -199,7 +212,11 @@ mod tests {
         let path = tmp("stall.gdb");
         let mut s = ExtentStore::create(
             &path,
-            ExtentConfig { extent_size: 32, cache_bytes: 128, recovery: false },
+            ExtentConfig {
+                extent_size: 32,
+                cache_bytes: 128,
+                recovery: false,
+            },
         )
         .unwrap();
         let mut stalls = 0;
@@ -208,7 +225,10 @@ mod tests {
                 stalls += 1;
             }
         }
-        assert!(stalls > 2, "expected multiple cache-full stalls, got {stalls}");
+        assert!(
+            stalls > 2,
+            "expected multiple cache-full stalls, got {stalls}"
+        );
         assert!(s.bytes_written() > 0, "flushes must write to disk");
         s.finish().unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -219,7 +239,11 @@ mod tests {
         let path = tmp("lazy.gdb");
         let mut s = ExtentStore::create(
             &path,
-            ExtentConfig { extent_size: 64, cache_bytes: 1 << 20, recovery: false },
+            ExtentConfig {
+                extent_size: 64,
+                cache_bytes: 1 << 20,
+                recovery: false,
+            },
         )
         .unwrap();
         for _ in 0..10 {
@@ -252,6 +276,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() {
-        assert!(ExtentStore::read_records(Path::new("/no/such/file.gdb")).unwrap().is_empty());
+        assert!(ExtentStore::read_records(Path::new("/no/such/file.gdb"))
+            .unwrap()
+            .is_empty());
     }
 }

@@ -93,7 +93,12 @@ pub struct LoadConfig {
 
 impl Default for LoadConfig {
     fn default() -> Self {
-        LoadConfig { extent_kb: 64, cache_kb: 8 * 1024, materialize: false, recovery: false }
+        LoadConfig {
+            extent_kb: 64,
+            cache_kb: 8 * 1024,
+            materialize: false,
+            recovery: false,
+        }
     }
 }
 
@@ -239,8 +244,14 @@ fn parse_node(toks: &[String], lineno: usize) -> Result<NodeSpec> {
     i += 1;
     let mut columns = Vec::new();
     loop {
-        let name = toks.get(i).ok_or_else(|| err("missing column name"))?.clone();
-        let dt = parse_dtype(toks.get(i + 1).ok_or_else(|| err("missing datatype"))?, lineno)?;
+        let name = toks
+            .get(i)
+            .ok_or_else(|| err("missing column name"))?
+            .clone();
+        let dt = parse_dtype(
+            toks.get(i + 1).ok_or_else(|| err("missing datatype"))?,
+            lineno,
+        )?;
         columns.push((name, dt));
         i += 2;
         match toks.get(i).map(String::as_str) {
@@ -266,13 +277,22 @@ fn parse_node(toks: &[String], lineno: usize) -> Result<NodeSpec> {
             i += 1;
         }
     }
-    Ok(NodeSpec { type_name, columns, file, indexed })
+    Ok(NodeSpec {
+        type_name,
+        columns,
+        file,
+        indexed,
+    })
 }
 
 /// `edge <name> ( srctype . attr , dsttype . attr ) from '<file>'`
 fn parse_edge(toks: &[String], lineno: usize) -> Result<EdgeSpec> {
     let err = |m: &str| BitError::Malformed(format!("script line {lineno}: {m}"));
-    let get = |i: usize| toks.get(i).map(String::as_str).ok_or_else(|| err("truncated edge"));
+    let get = |i: usize| {
+        toks.get(i)
+            .map(String::as_str)
+            .ok_or_else(|| err("truncated edge"))
+    };
     let type_name = get(0)?.to_owned();
     if get(1)? != "(" {
         return Err(err("expected ("));
@@ -297,7 +317,12 @@ fn parse_edge(toks: &[String], lineno: usize) -> Result<EdgeSpec> {
         return Err(err("expected from"));
     }
     let file = PathBuf::from(get(11)?);
-    Ok(EdgeSpec { type_name, src: (src_type, src_attr), dst: (dst_type, dst_attr), file })
+    Ok(EdgeSpec {
+        type_name,
+        src: (src_type, src_attr),
+        dst: (dst_type, dst_attr),
+        file,
+    })
 }
 
 /// Loader tuning.
@@ -312,7 +337,10 @@ pub struct LoadOptions {
 
 impl Default for LoadOptions {
     fn default() -> Self {
-        LoadOptions { sample_interval: 10_000, abort_after: None }
+        LoadOptions {
+            sample_interval: 10_000,
+            abort_after: None,
+        }
     }
 }
 
@@ -377,17 +405,17 @@ pub fn load(
         id_maps.entry(es.dst.clone()).or_default();
     }
 
-    let deadline_hit = |t: &Timer| {
-        opts.abort_after
-            .is_some_and(|limit| t.elapsed() >= limit)
-    };
+    let deadline_hit = |t: &Timer| opts.abort_after.is_some_and(|limit| t.elapsed() >= limit);
 
     // ---- Nodes ----------------------------------------------------------
     let mut sampler = ProgressSampler::new(opts.sample_interval);
     for ns in &script.nodes {
         let t = type_ids[&ns.type_name];
-        let cols: Vec<u32> =
-            ns.columns.iter().map(|(n, _)| attr_ids[&(ns.type_name.clone(), n.clone())]).collect();
+        let cols: Vec<u32> = ns
+            .columns
+            .iter()
+            .map(|(n, _)| attr_ids[&(ns.type_name.clone(), n.clone())])
+            .collect();
         // Key columns — indexed, or resolving edge endpoints — must never
         // be empty: a node without its key could not be found or linked.
         let keys: Vec<bool> = ns
@@ -570,7 +598,13 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
         assert!(parse_script("node user uid integer from 'x'").is_err());
         assert!(parse_script("bogus directive").is_err());
         assert!(parse_script("options nonsense 12").is_err());
-        assert!(parse_script("node user (uid integer) from 'f.csv'\nedge e (user.nope, user.uid) from 'g.csv'").is_ok(), "dangling attr detected at load, not parse");
+        assert!(
+            parse_script(
+                "node user (uid integer) from 'f.csv'\nedge e (user.nope, user.uid) from 'g.csv'"
+            )
+            .is_ok(),
+            "dangling attr detected at load, not parse"
+        );
     }
 
     #[test]
@@ -587,7 +621,9 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
         let follows = g.find_type("follows").unwrap();
         let uid = g.find_attribute(user, "uid").unwrap();
         let alice = g.find_object(uid, &Value::Int(1)).unwrap().unwrap();
-        let nb = g.neighbors(alice, follows, EdgesDirection::Outgoing).unwrap();
+        let nb = g
+            .neighbors(alice, follows, EdgesDirection::Outgoing)
+            .unwrap();
         assert_eq!(nb.count(), 2);
         let name = g.find_attribute(user, "name").unwrap();
         assert_eq!(g.get_attr(alice, name).unwrap(), Some(Value::from("alice")));
@@ -600,7 +636,11 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
         // 1 KiB extents, 4 KiB cache → several flush stalls even tiny data.
         let script = parse_script(SCRIPT).unwrap();
         let (_g, report) = load(None, &script, &dir, &LoadOptions::default()).unwrap();
-        assert!(report.flush_stalls >= 1, "flush stalls: {}", report.flush_stalls);
+        assert!(
+            report.flush_stalls >= 1,
+            "flush stalls: {}",
+            report.flush_stalls
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -640,7 +680,10 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
             None,
             &script,
             &dir,
-            &LoadOptions { sample_interval: 1, abort_after: Some(Duration::ZERO) },
+            &LoadOptions {
+                sample_interval: 1,
+                abort_after: Some(Duration::ZERO),
+            },
         )
         .unwrap();
         assert!(report.aborted);
@@ -659,21 +702,34 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
     #[test]
     fn empty_fields_leave_attributes_absent_and_empty_keys_are_malformed() {
         let dir = setup("empty");
-        let script = parse_script(
-            &SCRIPT.replace("(uid integer, name string)", "(uid integer, name string, followers integer)"),
-        )
+        let script = parse_script(&SCRIPT.replace(
+            "(uid integer, name string)",
+            "(uid integer, name string, followers integer)",
+        ))
         .unwrap();
         std::fs::write(dir.join("users.csv"), "1,alice,3\n2,,\n3,carol,\n").unwrap();
         let (g, _) = load(None, &script, &dir, &LoadOptions::default()).unwrap();
         let user = g.find_type("user").unwrap();
         let attr = |name| g.find_attribute(user, name).unwrap();
-        let node = |uid| g.find_object(attr("uid"), &Value::Int(uid)).unwrap().unwrap();
-        assert_eq!(g.get_attr(node(1), attr("followers")).unwrap(), Some(Value::Int(3)));
+        let node = |uid| {
+            g.find_object(attr("uid"), &Value::Int(uid))
+                .unwrap()
+                .unwrap()
+        };
+        assert_eq!(
+            g.get_attr(node(1), attr("followers")).unwrap(),
+            Some(Value::Int(3))
+        );
         assert_eq!(g.get_attr(node(2), attr("name")).unwrap(), None);
         assert_eq!(g.get_attr(node(2), attr("followers")).unwrap(), None);
         assert_eq!(g.get_attr(node(3), attr("followers")).unwrap(), None);
         let follows = g.find_type("follows").unwrap();
-        assert_eq!(g.neighbors(node(2), follows, EdgesDirection::Ingoing).unwrap().count(), 1);
+        assert_eq!(
+            g.neighbors(node(2), follows, EdgesDirection::Ingoing)
+                .unwrap()
+                .count(),
+            1
+        );
 
         // An empty key — an indexed column, or one an edge resolves on — is
         // an error and never a node.
@@ -702,14 +758,30 @@ edge posts (user.uid, tweet.tid) from 'posts.csv'
     fn markers_recorded_per_file() {
         let dir = setup("markers");
         let script = parse_script(SCRIPT).unwrap();
-        let (_g, report) =
-            load(None, &script, &dir, &LoadOptions { sample_interval: 1, abort_after: None })
-                .unwrap();
-        let labels: Vec<&str> =
-            report.edge_curve.markers.iter().map(|(l, _)| l.as_str()).collect();
+        let (_g, report) = load(
+            None,
+            &script,
+            &dir,
+            &LoadOptions {
+                sample_interval: 1,
+                abort_after: None,
+            },
+        )
+        .unwrap();
+        let labels: Vec<&str> = report
+            .edge_curve
+            .markers
+            .iter()
+            .map(|(l, _)| l.as_str())
+            .collect();
         assert_eq!(labels, vec!["end of follows edges", "end of posts edges"]);
         assert_eq!(
-            report.node_curve.markers.iter().map(|(l, _)| l.as_str()).collect::<Vec<_>>(),
+            report
+                .node_curve
+                .markers
+                .iter()
+                .map(|(l, _)| l.as_str())
+                .collect::<Vec<_>>(),
             vec!["end of user nodes", "end of tweet nodes"]
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -29,7 +29,9 @@ impl Objects {
     /// Builds from an iterator of oids.
     #[allow(clippy::should_implement_trait)] // also provided via FromIterator
     pub fn from_iter<I: IntoIterator<Item = Oid>>(items: I) -> Objects {
-        Objects { bits: Bitmap::from_iter(items) }
+        Objects {
+            bits: Bitmap::from_iter(items),
+        }
     }
 
     /// Adds an oid.
@@ -59,17 +61,23 @@ impl Objects {
 
     /// Set intersection.
     pub fn intersection(&self, other: &Objects) -> Objects {
-        Objects { bits: self.bits.and(&other.bits) }
+        Objects {
+            bits: self.bits.and(&other.bits),
+        }
     }
 
     /// Set union.
     pub fn union(&self, other: &Objects) -> Objects {
-        Objects { bits: self.bits.or(&other.bits) }
+        Objects {
+            bits: self.bits.or(&other.bits),
+        }
     }
 
     /// Set difference.
     pub fn difference(&self, other: &Objects) -> Objects {
-        Objects { bits: self.bits.and_not(&other.bits) }
+        Objects {
+            bits: self.bits.and_not(&other.bits),
+        }
     }
 
     /// Iterates the oids (ascending id order — *not* a semantic ordering).
