@@ -544,7 +544,8 @@ impl GraphDb {
     /// direction. Uses the dense-node group directory when applicable.
     pub fn rels(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> RelWalk<'_> {
         // Typed, single-direction expansion of a grouped node: start at the
-        // group entry and stop after `count` edges.
+        // group entry and stop after `count` edges (none for a run the node
+        // does not have).
         if let Some(entry) = self.group_entry(node, rel_type, dir) {
             return RelWalk {
                 db: self,
@@ -596,10 +597,11 @@ impl GraphDb {
         }
     }
 
-    /// Typed, single-direction degree of `node` when its dense-node group
-    /// directory holds it: an in-memory lookup that touches no page. `None`
-    /// for untyped or `Both` walks and for nodes without that group; this
-    /// never falls back to a chain walk (see [`GraphDb::degree`]).
+    /// Typed, single-direction degree of `node` when it is grouped: an
+    /// in-memory lookup that touches no page, 0 for a run the node does not
+    /// have. `None` for untyped or `Both` walks and for nodes that are not
+    /// grouped; this never falls back to a chain walk (see
+    /// [`GraphDb::degree`]).
     pub fn grouped_degree(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> Option<u64> {
         self.group_entry(node, rel_type, dir).map(|e| e.count)
     }

@@ -565,3 +565,27 @@ fn dense_anchor_self_probe_stays_cheap() {
     assert_eq!(stats.rows, 3);
     assert!(stats.db_hits < 500, "{}", profiled.render());
 }
+
+/// The same probe on a hub with no followers at all: its incoming-follows
+/// run is empty, and the group directory answers that without walking the
+/// hub's 5,003-relationship chain.
+#[test]
+fn dense_anchor_empty_run_probe_stays_cheap() {
+    let hub = Multigraph {
+        users: 5001,
+        edges: (1..=5000)
+            .map(|u| (0, u, 0))
+            .chain((1..=3).map(|u| (0, u, 1)))
+            .collect(),
+    };
+    let ql = QueryEngine::new(import(&hub, DbConfig::default().dense_node_threshold));
+    let profiled = ql
+        .profile(
+            "MATCH (a:user {uid: 0})-[:knows]->(t) WHERE NOT (a)-[:follows]->(a) RETURN t.uid",
+            &[],
+        )
+        .unwrap();
+    let stats = profiled.result.stats;
+    assert_eq!(stats.rows, 3);
+    assert!(stats.db_hits < 50, "{}", profiled.render());
+}
