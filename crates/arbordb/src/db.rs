@@ -44,7 +44,10 @@ pub struct DbConfig {
 
 impl Default for DbConfig {
     fn default() -> Self {
-        DbConfig { page_cache_pages: 16384, dense_node_threshold: 64 }
+        DbConfig {
+            page_cache_pages: 16384,
+            dense_node_threshold: 64,
+        }
     }
 }
 
@@ -57,7 +60,9 @@ impl DbConfig {
             StoreTag::Props => total / 4,
             StoreTag::Blob => total / 8,
         };
-        PoolConfig { capacity_pages: share.max(8) }
+        PoolConfig {
+            capacity_pages: share.max(8),
+        }
     }
 }
 
@@ -141,14 +146,26 @@ impl GraphDb {
         let disk = |name: &str| -> Result<Box<dyn StorageBackend>> {
             Ok(Box::new(DiskBackend::open(&dir.join(name))?))
         };
-        let nodes =
-            RecordStore::open(disk("nodes.store")?, StoreTag::Nodes, config.pool_for(StoreTag::Nodes))?;
-        let rels =
-            RecordStore::open(disk("rels.store")?, StoreTag::Rels, config.pool_for(StoreTag::Rels))?;
-        let props =
-            RecordStore::open(disk("props.store")?, StoreTag::Props, config.pool_for(StoreTag::Props))?;
-        let blob =
-            BlobStore::open(disk("blob.store")?, StoreTag::Blob, config.pool_for(StoreTag::Blob))?;
+        let nodes = RecordStore::open(
+            disk("nodes.store")?,
+            StoreTag::Nodes,
+            config.pool_for(StoreTag::Nodes),
+        )?;
+        let rels = RecordStore::open(
+            disk("rels.store")?,
+            StoreTag::Rels,
+            config.pool_for(StoreTag::Rels),
+        )?;
+        let props = RecordStore::open(
+            disk("props.store")?,
+            StoreTag::Props,
+            config.pool_for(StoreTag::Props),
+        )?;
+        let blob = BlobStore::open(
+            disk("blob.store")?,
+            StoreTag::Blob,
+            config.pool_for(StoreTag::Blob),
+        )?;
 
         let mut db = GraphDb {
             nodes,
@@ -206,7 +223,9 @@ impl GraphDb {
     }
 
     pub(crate) fn save_meta(&self) -> Result<()> {
-        let Some(path) = self.meta_path() else { return Ok(()) };
+        let Some(path) = self.meta_path() else {
+            return Ok(());
+        };
         let file = std::fs::File::create(&path)?;
         let mut w = CsvWriter::new(BufWriter::new(file));
         for name in self.labels.names() {
@@ -236,7 +255,9 @@ impl GraphDb {
     }
 
     fn load_meta(&mut self) -> Result<()> {
-        let Some(path) = self.meta_path() else { return Ok(()) };
+        let Some(path) = self.meta_path() else {
+            return Ok(());
+        };
         let file = match std::fs::File::open(&path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -260,15 +281,23 @@ impl GraphDb {
                     self.prop_keys.intern(&fields[1]);
                 }
                 Some("index") => {
-                    self.prop_index.declare((parse(&fields[1])?, parse(&fields[2])?));
+                    self.prop_index
+                        .declare((parse(&fields[1])?, parse(&fields[2])?));
                 }
                 Some("group") => {
-                    let dir = if parse(&fields[3])? == 0 { GroupDir::Out } else { GroupDir::In };
+                    let dir = if parse(&fields[3])? == 0 {
+                        GroupDir::Out
+                    } else {
+                        GroupDir::In
+                    };
                     self.groups.insert(
                         NodeId(parse(&fields[1])?),
                         parse(&fields[2])? as u32,
                         dir,
-                        GroupEntry { first: EdgeId(parse(&fields[4])?), count: parse(&fields[5])? },
+                        GroupEntry {
+                            first: EdgeId(parse(&fields[4])?),
+                            count: parse(&fields[5])?,
+                        },
                     );
                 }
                 _ => {
@@ -315,7 +344,8 @@ impl GraphDb {
         }
         for entry in self.rels.scan() {
             let (_, rec) = entry?;
-            self.statistics.note_edge_added(rec.src, rec.dst, rec.rel_type);
+            self.statistics
+                .note_edge_added(rec.src, rec.dst, rec.rel_type);
         }
         Ok(())
     }
@@ -418,7 +448,10 @@ impl GraphDb {
 
     /// True when `node` refers to a live node.
     pub fn node_exists(&self, node: NodeId) -> bool {
-        self.nodes.get(node.raw()).map(|r| r.in_use).unwrap_or(false)
+        self.nodes
+            .get(node.raw())
+            .map(|r| r.in_use)
+            .unwrap_or(false)
     }
 
     /// The label of `node`.
@@ -454,7 +487,9 @@ impl GraphDb {
 
     /// One property of `node` by key name, `None` when absent.
     pub fn node_prop(&self, node: NodeId, key: &str) -> Result<Option<Value>> {
-        let Some(kid) = self.prop_keys.get(key) else { return Ok(None) };
+        let Some(kid) = self.prop_keys.get(key) else {
+            return Ok(None);
+        };
         self.node_prop_by_id(node, kid)
     }
 
@@ -507,7 +542,9 @@ impl GraphDb {
 
     /// One property of a relationship by key name, `None` when absent.
     pub fn rel_prop(&self, rel: EdgeId, key: &str) -> Result<Option<Value>> {
-        let Some(kid) = self.prop_keys.get(key) else { return Ok(None) };
+        let Some(kid) = self.prop_keys.get(key) else {
+            return Ok(None);
+        };
         self.rel_prop_by_id(rel, kid)
     }
 
@@ -557,8 +594,20 @@ impl GraphDb {
                 error: false,
             };
         }
-        let first = self.nodes.get(node.raw()).map(|r| r.first_rel).unwrap_or(EdgeId::NONE);
-        RelWalk { db: self, node, next: first, rel_type, dir, remaining: None, error: false }
+        let first = self
+            .nodes
+            .get(node.raw())
+            .map(|r| r.first_rel)
+            .unwrap_or(EdgeId::NONE);
+        RelWalk {
+            db: self,
+            node,
+            next: first,
+            rel_type,
+            dir,
+            remaining: None,
+            error: false,
+        }
     }
 
     /// Neighbor node ids of `node` over `rel_type` edges in `dir`.
@@ -602,11 +651,21 @@ impl GraphDb {
     /// have. `None` for untyped or `Both` walks and for nodes that are not
     /// grouped; this never falls back to a chain walk (see
     /// [`GraphDb::degree`]).
-    pub fn grouped_degree(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> Option<u64> {
+    pub fn grouped_degree(
+        &self,
+        node: NodeId,
+        rel_type: Option<u32>,
+        dir: Direction,
+    ) -> Option<u64> {
         self.group_entry(node, rel_type, dir).map(|e| e.count)
     }
 
-    fn group_entry(&self, node: NodeId, rel_type: Option<u32>, dir: Direction) -> Option<GroupEntry> {
+    fn group_entry(
+        &self,
+        node: NodeId,
+        rel_type: Option<u32>,
+        dir: Direction,
+    ) -> Option<GroupEntry> {
         let gd = match dir {
             Direction::Outgoing => GroupDir::Out,
             Direction::Incoming => GroupDir::In,
@@ -665,8 +724,12 @@ impl GraphDb {
         value: &Value,
         out: &mut Vec<NodeId>,
     ) -> bool {
-        let Some(l) = self.labels.get(label) else { return false };
-        let Some(k) = self.prop_keys.get(key) else { return false };
+        let Some(l) = self.labels.get(label) else {
+            return false;
+        };
+        let Some(k) = self.prop_keys.get(key) else {
+            return false;
+        };
         self.prop_index.seek_into((l, k), value, out)
     }
 
@@ -821,7 +884,12 @@ impl GraphDb {
     /// Aggregated statistics.
     pub fn stats(&self) -> DbStats {
         let mut pages = PoolStats::default();
-        for s in [self.nodes.stats(), self.rels.stats(), self.props.stats(), self.blob.stats()] {
+        for s in [
+            self.nodes.stats(),
+            self.rels.stats(),
+            self.props.stats(),
+            self.blob.stats(),
+        ] {
             pages.accesses += s.accesses;
             pages.hits += s.hits;
             pages.misses += s.misses;
@@ -1016,7 +1084,14 @@ impl<'db> WriteTxn<'db> {
             let ctx = self.ctx.as_mut().expect("txn live");
             let (vtype, val, aux) = self.db.encode_value(value, ctx)?;
             let pid = self.db.props.allocate(ctx)?;
-            let rec = PropRecord { in_use: true, vtype, key: kid, val, aux, next: head };
+            let rec = PropRecord {
+                in_use: true,
+                vtype,
+                key: kid,
+                val,
+                aux,
+                next: head,
+            };
             self.db.props.put(pid, &rec, ctx)?;
             head = pid;
         }
@@ -1045,7 +1120,8 @@ impl<'db> WriteTxn<'db> {
             let kid = self.db.prop_keys.get(key).expect("interned above");
             let ik = (label_id.raw(), kid);
             if self.db.prop_index.has(ik) {
-                self.index_ops.push(IndexOp::PropAdd(ik, value.clone(), node));
+                self.index_ops
+                    .push(IndexOp::PropAdd(ik, value.clone(), node));
             }
         }
         Ok(node)
@@ -1061,7 +1137,11 @@ impl<'db> WriteTxn<'db> {
     ) -> Result<EdgeId> {
         let t = self.intern_rel_type(rel_type);
         let mut src_rec = self.db.node_record(src)?;
-        let mut dst_rec = if src == dst { src_rec.clone() } else { self.db.node_record(dst)? };
+        let mut dst_rec = if src == dst {
+            src_rec.clone()
+        } else {
+            self.db.node_record(dst)?
+        };
         let first_prop = self.build_prop_chain(props)?;
         let ctx = self.ctx.as_mut().expect("txn live");
         let id = EdgeId(self.db.rels.allocate(ctx)?);
@@ -1074,7 +1154,11 @@ impl<'db> WriteTxn<'db> {
             src_prev: EdgeId::NONE,
             src_next: src_rec.first_rel,
             dst_prev: EdgeId::NONE,
-            dst_next: if src == dst { EdgeId::NONE } else { dst_rec.first_rel },
+            dst_next: if src == dst {
+                EdgeId::NONE
+            } else {
+                dst_rec.first_rel
+            },
             first_prop,
         };
 
@@ -1141,7 +1225,8 @@ impl<'db> WriteTxn<'db> {
                 self.db.props.put(at, &p, ctx)?;
                 let ik = (node_rec.label.raw(), kid as u64);
                 if self.db.prop_index.has(ik) {
-                    self.index_ops.push(IndexOp::PropRemove(ik, old_value, node));
+                    self.index_ops
+                        .push(IndexOp::PropRemove(ik, old_value, node));
                     self.index_ops.push(IndexOp::PropAdd(ik, value, node));
                 }
                 return Ok(());
@@ -1152,7 +1237,14 @@ impl<'db> WriteTxn<'db> {
         let ctx = self.ctx.as_mut().expect("txn live");
         let (vtype, val, aux) = self.db.encode_value(&value, ctx)?;
         let pid = self.db.props.allocate(ctx)?;
-        let rec = PropRecord { in_use: true, vtype, key: kid, val, aux, next: node_rec.first_prop };
+        let rec = PropRecord {
+            in_use: true,
+            vtype,
+            key: kid,
+            val,
+            aux,
+            next: node_rec.first_prop,
+        };
         self.db.props.put(pid, &rec, ctx)?;
         node_rec.first_prop = pid;
         self.db.nodes.put(node.raw(), &node_rec, ctx)?;
@@ -1219,7 +1311,8 @@ impl<'db> WriteTxn<'db> {
         self.db.rels.put(rel.raw(), &dead, ctx)?;
         self.db.groups.invalidate(rec.src);
         self.db.groups.invalidate(rec.dst);
-        self.stat_ops.push(StatOp::EdgeRemove(rec.src, rec.dst, rec.rel_type));
+        self.stat_ops
+            .push(StatOp::EdgeRemove(rec.src, rec.dst, rec.rel_type));
         Ok(())
     }
 
@@ -1342,7 +1435,11 @@ mod tests {
     use super::*;
 
     fn mem_db() -> GraphDb {
-        GraphDb::open_memory(DbConfig { page_cache_pages: 256, dense_node_threshold: 8 }).unwrap()
+        GraphDb::open_memory(DbConfig {
+            page_cache_pages: 256,
+            dense_node_threshold: 8,
+        })
+        .unwrap()
     }
 
     #[test]
@@ -1350,7 +1447,10 @@ mod tests {
         let db = mem_db();
         let mut tx = db.begin_write().unwrap();
         let n = tx
-            .create_node("user", &[("uid", Value::Int(531)), ("name", Value::from("alice"))])
+            .create_node(
+                "user",
+                &[("uid", Value::Int(531)), ("name", Value::from("alice"))],
+            )
             .unwrap();
         tx.commit().unwrap();
         assert!(db.node_exists(n));
@@ -1376,15 +1476,21 @@ mod tests {
         tx.commit().unwrap();
 
         let t = db.rel_type_id("follows").unwrap();
-        let out: Vec<NodeId> =
-            db.neighbors(a, Some(t), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let out: Vec<NodeId> = db
+            .neighbors(a, Some(t), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(out.len(), 2);
         assert!(out.contains(&b) && out.contains(&c));
-        let inc: Vec<NodeId> =
-            db.neighbors(a, Some(t), Direction::Incoming).map(|r| r.unwrap()).collect();
+        let inc: Vec<NodeId> = db
+            .neighbors(a, Some(t), Direction::Incoming)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(inc, vec![c]);
-        let both: Vec<NodeId> =
-            db.neighbors(a, Some(t), Direction::Both).map(|r| r.unwrap()).collect();
+        let both: Vec<NodeId> = db
+            .neighbors(a, Some(t), Direction::Both)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(both.len(), 3);
         assert_eq!(db.degree(a, None, Direction::Outgoing).unwrap(), 2);
         assert_eq!(db.degree(a, None, Direction::Incoming).unwrap(), 1);
@@ -1401,8 +1507,10 @@ mod tests {
         tx.create_rel(a, t1, "mentions", &[]).unwrap();
         tx.commit().unwrap();
         let t = db.rel_type_id("mentions").unwrap();
-        let out: Vec<NodeId> =
-            db.neighbors(a, Some(t), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let out: Vec<NodeId> = db
+            .neighbors(a, Some(t), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(out, vec![t1, t1], "parallel edges both enumerated");
     }
 
@@ -1416,8 +1524,10 @@ mod tests {
         tx.create_rel(a, b, "follows", &[]).unwrap();
         tx.commit().unwrap();
         let t = db.rel_type_id("follows").unwrap();
-        let out: Vec<NodeId> =
-            db.neighbors(a, Some(t), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let out: Vec<NodeId> = db
+            .neighbors(a, Some(t), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(out.len(), 2);
         assert!(out.contains(&a) && out.contains(&b));
         assert_eq!(db.degree(a, None, Direction::Incoming).unwrap(), 1);
@@ -1435,13 +1545,20 @@ mod tests {
         tx.commit().unwrap();
         let posts = db.rel_type_id("posts").unwrap();
         let follows = db.rel_type_id("follows").unwrap();
-        let p: Vec<_> =
-            db.neighbors(u, Some(posts), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let p: Vec<_> = db
+            .neighbors(u, Some(posts), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(p, vec![t1]);
-        let f: Vec<_> =
-            db.neighbors(u, Some(follows), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let f: Vec<_> = db
+            .neighbors(u, Some(follows), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(f, vec![u2]);
-        let all: Vec<_> = db.neighbors(u, None, Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let all: Vec<_> = db
+            .neighbors(u, None, Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(all.len(), 2);
     }
 
@@ -1484,8 +1601,11 @@ mod tests {
         let db = mem_db();
         let mut tx = db.begin_write().unwrap();
         for i in 0..20i64 {
-            tx.create_node("user", &[("uid", Value::Int(i)), ("followers", Value::Int(i * 100))])
-                .unwrap();
+            tx.create_node(
+                "user",
+                &[("uid", Value::Int(i)), ("followers", Value::Int(i * 100))],
+            )
+            .unwrap();
         }
         tx.commit().unwrap();
         db.create_index("user", "uid").unwrap();
@@ -1493,7 +1613,12 @@ mod tests {
         let hit = db.index_seek("user", "uid", &Value::Int(7)).unwrap();
         assert_eq!(hit.len(), 1);
         let range = db
-            .index_range("user", "followers", Bound::Excluded(&Value::Int(1500)), Bound::Unbounded)
+            .index_range(
+                "user",
+                "followers",
+                Bound::Excluded(&Value::Int(1500)),
+                Bound::Unbounded,
+            )
             .unwrap();
         assert_eq!(range.len(), 4); // 1600..1900
         assert!(db.index_seek("tweet", "tid", &Value::Int(0)).is_none());
@@ -1503,7 +1628,9 @@ mod tests {
     fn set_prop_overwrites_and_indexes() {
         let db = mem_db();
         let mut tx = db.begin_write().unwrap();
-        let n = tx.create_node("user", &[("followers", Value::Int(10))]).unwrap();
+        let n = tx
+            .create_node("user", &[("followers", Value::Int(10))])
+            .unwrap();
         tx.commit().unwrap();
         db.create_index("user", "followers").unwrap();
         let mut tx = db.begin_write().unwrap();
@@ -1512,8 +1639,14 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(db.node_prop(n, "followers").unwrap(), Some(Value::Int(99)));
         assert_eq!(db.node_prop(n, "bio").unwrap(), Some(Value::from("hello")));
-        assert_eq!(db.index_seek("user", "followers", &Value::Int(10)).unwrap(), vec![]);
-        assert_eq!(db.index_seek("user", "followers", &Value::Int(99)).unwrap(), vec![n]);
+        assert_eq!(
+            db.index_seek("user", "followers", &Value::Int(10)).unwrap(),
+            vec![]
+        );
+        assert_eq!(
+            db.index_seek("user", "followers", &Value::Int(99)).unwrap(),
+            vec![n]
+        );
     }
 
     #[test]
@@ -1532,7 +1665,10 @@ mod tests {
         tx.delete_rel(e2).unwrap();
         tx.commit().unwrap();
 
-        let out: Vec<_> = db.neighbors(a, None, Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let out: Vec<_> = db
+            .neighbors(a, None, Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(out, vec![b]);
         assert_eq!(db.degree(a, None, Direction::Outgoing).unwrap(), 1);
         assert!(db.rel_record(e2).is_err());
@@ -1543,7 +1679,10 @@ mod tests {
         let mut tx = db.begin_write().unwrap();
         tx.delete_rel(e3).unwrap();
         tx.commit().unwrap();
-        let both: Vec<_> = db.neighbors(a, None, Direction::Both).map(|r| r.unwrap()).collect();
+        let both: Vec<_> = db
+            .neighbors(a, None, Direction::Both)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(both, vec![b]);
     }
 
@@ -1587,7 +1726,12 @@ mod tests {
         {
             let db = GraphDb::open(&dir, DbConfig::default()).unwrap();
             let mut tx = db.begin_write().unwrap();
-            na = tx.create_node("user", &[("uid", Value::Int(5)), ("name", Value::from("carol"))]).unwrap();
+            na = tx
+                .create_node(
+                    "user",
+                    &[("uid", Value::Int(5)), ("name", Value::from("carol"))],
+                )
+                .unwrap();
             let nb = tx.create_node("user", &[("uid", Value::Int(6))]).unwrap();
             tx.create_rel(na, nb, "follows", &[]).unwrap();
             tx.commit().unwrap();
@@ -1596,8 +1740,14 @@ mod tests {
         }
         {
             let db = GraphDb::open(&dir, DbConfig::default()).unwrap();
-            assert_eq!(db.node_prop(na, "name").unwrap(), Some(Value::from("carol")));
-            assert_eq!(db.index_seek("user", "uid", &Value::Int(5)).unwrap(), vec![na]);
+            assert_eq!(
+                db.node_prop(na, "name").unwrap(),
+                Some(Value::from("carol"))
+            );
+            assert_eq!(
+                db.index_seek("user", "uid", &Value::Int(5)).unwrap(),
+                vec![na]
+            );
             assert_eq!(db.degree(na, None, Direction::Outgoing).unwrap(), 1);
             assert_eq!(db.label_count(db.label_id("user").unwrap()), 2);
         }

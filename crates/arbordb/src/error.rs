@@ -58,8 +58,12 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(ArborError::RecordNotFound("node 3".into()).to_string().contains("node 3"));
-        assert!(ArborError::UnknownName("label x".into()).to_string().contains("label x"));
+        assert!(ArborError::RecordNotFound("node 3".into())
+            .to_string()
+            .contains("node 3"));
+        assert!(ArborError::UnknownName("label x".into())
+            .to_string()
+            .contains("label x"));
         let io = ArborError::from(std::io::Error::other("disk gone"));
         assert!(io.to_string().contains("disk gone"));
         assert!(std::error::Error::source(&io).is_some());

@@ -55,13 +55,19 @@ pub struct DenseGroups {
 
 impl GroupEntry {
     /// A run of no edges.
-    pub const EMPTY: GroupEntry = GroupEntry { first: EdgeId::NONE, count: 0 };
+    pub const EMPTY: GroupEntry = GroupEntry {
+        first: EdgeId::NONE,
+        count: 0,
+    };
 }
 
 impl DenseGroups {
     /// Creates a directory with the given dense-degree threshold.
     pub fn new(threshold: u32) -> Self {
-        DenseGroups { threshold, map: RwLock::new(HashMap::new()) }
+        DenseGroups {
+            threshold,
+            map: RwLock::new(HashMap::new()),
+        }
     }
 
     /// The degree above which a node is considered dense.
@@ -122,18 +128,53 @@ mod tests {
     fn insert_get_invalidate() {
         let g = DenseGroups::new(50);
         assert_eq!(g.threshold(), 50);
-        g.insert(NodeId(1), 0, GroupDir::Out, GroupEntry { first: EdgeId(10), count: 100 });
-        g.insert(NodeId(1), 1, GroupDir::In, GroupEntry { first: EdgeId(5), count: 3 });
-        g.insert(NodeId(2), 0, GroupDir::Out, GroupEntry { first: EdgeId(7), count: 60 });
+        g.insert(
+            NodeId(1),
+            0,
+            GroupDir::Out,
+            GroupEntry {
+                first: EdgeId(10),
+                count: 100,
+            },
+        );
+        g.insert(
+            NodeId(1),
+            1,
+            GroupDir::In,
+            GroupEntry {
+                first: EdgeId(5),
+                count: 3,
+            },
+        );
+        g.insert(
+            NodeId(2),
+            0,
+            GroupDir::Out,
+            GroupEntry {
+                first: EdgeId(7),
+                count: 60,
+            },
+        );
         assert_eq!(
             g.get(NodeId(1), 0, GroupDir::Out),
-            Some(GroupEntry { first: EdgeId(10), count: 100 })
+            Some(GroupEntry {
+                first: EdgeId(10),
+                count: 100
+            })
         );
-        assert_eq!(g.get(NodeId(1), 0, GroupDir::In), Some(GroupEntry::EMPTY), "grouped, no run");
+        assert_eq!(
+            g.get(NodeId(1), 0, GroupDir::In),
+            Some(GroupEntry::EMPTY),
+            "grouped, no run"
+        );
         assert_eq!(g.get(NodeId(9), 0, GroupDir::Out), None, "not grouped");
         g.invalidate(NodeId(1));
         assert_eq!(g.get(NodeId(1), 0, GroupDir::Out), None);
-        assert_eq!(g.get(NodeId(1), 0, GroupDir::In), None, "invalidate clears the mark");
+        assert_eq!(
+            g.get(NodeId(1), 0, GroupDir::In),
+            None,
+            "invalidate clears the mark"
+        );
         assert_eq!(g.get(NodeId(1), 1, GroupDir::In), None);
         assert_eq!(g.get(NodeId(2), 0, GroupDir::Out).unwrap().count, 60);
         assert_eq!(g.len(), 1);
@@ -142,7 +183,15 @@ mod tests {
     #[test]
     fn entries_roundtrip() {
         let g = DenseGroups::new(10);
-        g.insert(NodeId(3), 2, GroupDir::In, GroupEntry { first: EdgeId(1), count: 11 });
+        g.insert(
+            NodeId(3),
+            2,
+            GroupDir::In,
+            GroupEntry {
+                first: EdgeId(1),
+                count: 11,
+            },
+        );
         let entries = g.entries();
         assert_eq!(entries.len(), 1);
         let (n, t, d, e) = entries[0];

@@ -51,12 +51,14 @@ pub enum ColumnType {
 impl ColumnType {
     fn parse(self, raw: &str) -> Result<Value> {
         Ok(match self {
-            ColumnType::Int => Value::Int(raw.parse::<i64>().map_err(|_| {
-                ArborError::Malformed(format!("expected integer, got {raw:?}"))
-            })?),
-            ColumnType::Double => Value::Double(raw.parse::<f64>().map_err(|_| {
-                ArborError::Malformed(format!("expected double, got {raw:?}"))
-            })?),
+            ColumnType::Int => Value::Int(
+                raw.parse::<i64>()
+                    .map_err(|_| ArborError::Malformed(format!("expected integer, got {raw:?}")))?,
+            ),
+            ColumnType::Double => Value::Double(
+                raw.parse::<f64>()
+                    .map_err(|_| ArborError::Malformed(format!("expected double, got {raw:?}")))?,
+            ),
             ColumnType::Str => Value::Str(raw.to_owned()),
         })
     }
@@ -74,7 +76,10 @@ pub struct ColumnSpec {
 impl ColumnSpec {
     /// Convenience constructor.
     pub fn new(name: &str, ty: ColumnType) -> Self {
-        ColumnSpec { name: name.to_owned(), ty }
+        ColumnSpec {
+            name: name.to_owned(),
+            ty,
+        }
     }
 }
 
@@ -129,7 +134,10 @@ pub struct ImportOptions {
 
 impl Default for ImportOptions {
     fn default() -> Self {
-        ImportOptions { sample_interval: 10_000, flush_every: Duration::from_millis(20) }
+        ImportOptions {
+            sample_interval: 10_000,
+            flush_every: Duration::from_millis(20),
+        }
     }
 }
 
@@ -157,7 +165,11 @@ pub struct ImportReport {
 }
 
 /// Runs a bulk import into an **empty** database.
-pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) -> Result<ImportReport> {
+pub fn bulk_import(
+    db: &GraphDb,
+    source: &ImportSource,
+    opts: &ImportOptions,
+) -> Result<ImportReport> {
     if db.node_count() != 0 || db.rel_count() != 0 {
         return Err(ArborError::InvalidState(
             "incremental import is not supported: database is not empty".into(),
@@ -331,7 +343,13 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
                         .enumerate()
                         .map(|(i, (&k, col))| Ok((k, col.ty.parse(&fields[2 + i])?)))
                         .collect::<Result<Vec<_>>>()?;
-                    edges.push(Resolved { rel_type: t, src, dst, extra, file_idx });
+                    edges.push(Resolved {
+                        rel_type: t,
+                        src,
+                        dst,
+                        extra,
+                        file_idx,
+                    });
                 }
             }
 
@@ -400,12 +418,15 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
                         let run = &run[..run.partition_point(|e| e.0 == t)];
                         let loops_start = run.partition_point(|e| e.1 < 1);
                         let ins_start = run.partition_point(|e| e.1 < 2);
-                        for (gd, lo, hi) in
-                            [(GroupDir::Out, 0, ins_start), (GroupDir::In, loops_start, run.len())]
-                        {
+                        for (gd, lo, hi) in [
+                            (GroupDir::Out, 0, ins_start),
+                            (GroupDir::In, loops_start, run.len()),
+                        ] {
                             if lo < hi {
-                                let entry =
-                                    GroupEntry { first: EdgeId(run[lo].2), count: (hi - lo) as u64 };
+                                let entry = GroupEntry {
+                                    first: EdgeId(run[lo].2),
+                                    count: (hi - lo) as u64,
+                                };
                                 db.groups.insert(node, t, gd, entry);
                             }
                         }
@@ -420,7 +441,10 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
             for (eid, e) in edges.iter().enumerate() {
                 if e.file_idx != current_file {
                     if current_file != usize::MAX {
-                        sampler.mark(format!("end of {} edges", source.rels[current_file].rel_type));
+                        sampler.mark(format!(
+                            "end of {} edges",
+                            source.rels[current_file].rel_type
+                        ));
                     }
                     current_file = e.file_idx;
                 }
@@ -450,7 +474,10 @@ pub fn bulk_import(db: &GraphDb, source: &ImportSource, opts: &ImportOptions) ->
                 sampler.add(1);
             }
             if current_file != usize::MAX {
-                sampler.mark(format!("end of {} edges", source.rels[current_file].rel_type));
+                sampler.mark(format!(
+                    "end of {} edges",
+                    source.rels[current_file].rel_type
+                ));
             }
 
             // Node records: chain heads and degrees.
@@ -561,7 +588,10 @@ mod tests {
                     extra: vec![],
                 },
             ],
-            indexes: vec![("user".into(), "uid".into()), ("tweet".into(), "tid".into())],
+            indexes: vec![
+                ("user".into(), "uid".into()),
+                ("tweet".into(), "tid".into()),
+            ],
         }
     }
 
@@ -575,8 +605,11 @@ mod tests {
     #[test]
     fn import_roundtrip() {
         let dir = tmpdir("rt");
-        let db = GraphDb::open_memory(DbConfig { page_cache_pages: 512, dense_node_threshold: 2 })
-            .unwrap();
+        let db = GraphDb::open_memory(DbConfig {
+            page_cache_pages: 512,
+            dense_node_threshold: 2,
+        })
+        .unwrap();
         let source = tiny_source(&dir);
         let report = bulk_import(&db, &source, &ImportOptions::default()).unwrap();
         assert_eq!(report.nodes, 5);
@@ -586,17 +619,24 @@ mod tests {
         // Index seeks work.
         let alice = db.index_seek("user", "uid", &Value::Int(1)).unwrap()[0];
         let bob = db.index_seek("user", "uid", &Value::Int(2)).unwrap()[0];
-        assert_eq!(db.node_prop(alice, "name").unwrap(), Some(Value::from("alice")));
+        assert_eq!(
+            db.node_prop(alice, "name").unwrap(),
+            Some(Value::from("alice"))
+        );
 
         // Adjacency is correct.
         let follows = db.rel_type_id("follows").unwrap();
-        let out: Vec<NodeId> =
-            db.neighbors(alice, Some(follows), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let out: Vec<NodeId> = db
+            .neighbors(alice, Some(follows), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(out.len(), 2);
         assert!(out.contains(&bob));
         let posts = db.rel_type_id("posts").unwrap();
-        let tweets: Vec<NodeId> =
-            db.neighbors(alice, Some(posts), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let tweets: Vec<NodeId> = db
+            .neighbors(alice, Some(posts), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(tweets.len(), 1);
         assert_eq!(
             db.node_prop(tweets[0], "text").unwrap(),
@@ -605,7 +645,11 @@ mod tests {
 
         // Degrees.
         assert_eq!(db.degree(alice, None, Direction::Outgoing).unwrap(), 3); // 2 follows + 1 post
-        assert_eq!(db.degree(alice, Some(follows), Direction::Incoming).unwrap(), 1);
+        assert_eq!(
+            db.degree(alice, Some(follows), Direction::Incoming)
+                .unwrap(),
+            1
+        );
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -655,18 +699,30 @@ mod tests {
     fn empty_fields_leave_properties_absent_and_empty_ids_are_malformed() {
         let dir = tmpdir("empty");
         let mut source = tiny_source(&dir);
-        source.nodes[0].columns.push(ColumnSpec::new("followers", ColumnType::Int));
+        source.nodes[0]
+            .columns
+            .push(ColumnSpec::new("followers", ColumnType::Int));
         write_file(&dir, "users.csv", "1,alice,3\n2,,\n3,carol,\n");
         let db = GraphDb::open_memory(DbConfig::default()).unwrap();
         bulk_import(&db, &source, &ImportOptions::default()).unwrap();
         let node = |uid| db.index_seek("user", "uid", &Value::Int(uid)).unwrap()[0];
-        assert_eq!(db.node_prop(node(1), "followers").unwrap(), Some(Value::Int(3)));
+        assert_eq!(
+            db.node_prop(node(1), "followers").unwrap(),
+            Some(Value::Int(3))
+        );
         assert_eq!(db.node_prop(node(2), "name").unwrap(), None);
         assert_eq!(db.node_prop(node(2), "followers").unwrap(), None);
-        assert_eq!(db.node_prop(node(3), "name").unwrap(), Some(Value::from("carol")));
+        assert_eq!(
+            db.node_prop(node(3), "name").unwrap(),
+            Some(Value::from("carol"))
+        );
         assert_eq!(db.node_prop(node(3), "followers").unwrap(), None);
         let follows = db.rel_type_id("follows").unwrap();
-        assert_eq!(db.degree(node(2), Some(follows), Direction::Incoming).unwrap(), 1);
+        assert_eq!(
+            db.degree(node(2), Some(follows), Direction::Incoming)
+                .unwrap(),
+            1
+        );
 
         // An empty id, of either column type, is an error and never a node.
         for (users, tweets) in [(",alice,3\n", "100,a\n"), ("1,alice,3\n", ",a\n")] {
@@ -691,16 +747,26 @@ mod tests {
         let dir = tmpdir("curve");
         let db = GraphDb::open_memory(DbConfig::default()).unwrap();
         let source = tiny_source(&dir);
-        let report =
-            bulk_import(&db, &source, &ImportOptions { sample_interval: 1, ..Default::default() })
-                .unwrap();
+        let report = bulk_import(
+            &db,
+            &source,
+            &ImportOptions {
+                sample_interval: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(report.node_curve.points.last().unwrap().records, 5);
         assert_eq!(report.edge_curve.points.last().unwrap().records, 6);
-        assert!(report
-            .edge_curve
-            .markers
-            .iter()
-            .any(|(l, _)| l.contains("follows")), "markers: {:?}", report.edge_curve.markers);
+        assert!(
+            report
+                .edge_curve
+                .markers
+                .iter()
+                .any(|(l, _)| l.contains("follows")),
+            "markers: {:?}",
+            report.edge_curve.markers
+        );
         assert!(report.total_ms > 0.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -715,8 +781,11 @@ mod tests {
         source.rels[0].path =
             write_file(&dir, "follows.csv", "1,1\n1,2\n2,1\n1,1\n3,1\n1,3\n2,2\n");
         let open = |threshold| {
-            let db = GraphDb::open_memory(DbConfig { page_cache_pages: 512, dense_node_threshold: threshold })
-                .unwrap();
+            let db = GraphDb::open_memory(DbConfig {
+                page_cache_pages: 512,
+                dense_node_threshold: threshold,
+            })
+            .unwrap();
             bulk_import(&db, &source, &ImportOptions::default()).unwrap();
             db
         };
@@ -724,29 +793,52 @@ mod tests {
         let follows = grouped.rel_type_id("follows");
         let walk = |db: &GraphDb, uid: i64, dir: Direction| {
             let n = db.index_seek("user", "uid", &Value::Int(uid)).unwrap()[0];
-            let mut v: Vec<u64> = db.neighbors(n, follows, dir).map(|r| r.unwrap().raw()).collect();
+            let mut v: Vec<u64> = db
+                .neighbors(n, follows, dir)
+                .map(|r| r.unwrap().raw())
+                .collect();
             v.sort_unstable();
             v
         };
         let alice = grouped.index_seek("user", "uid", &Value::Int(1)).unwrap()[0];
-        assert_eq!(grouped.grouped_degree(alice, follows, Direction::Outgoing), Some(4));
-        assert_eq!(grouped.grouped_degree(alice, follows, Direction::Incoming), Some(4));
-        assert_eq!(plain.grouped_degree(alice, follows, Direction::Outgoing), None);
+        assert_eq!(
+            grouped.grouped_degree(alice, follows, Direction::Outgoing),
+            Some(4)
+        );
+        assert_eq!(
+            grouped.grouped_degree(alice, follows, Direction::Incoming),
+            Some(4)
+        );
+        assert_eq!(
+            plain.grouped_degree(alice, follows, Direction::Outgoing),
+            None
+        );
         for uid in 1..=3 {
             for d in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
-                assert_eq!(walk(&grouped, uid, d), walk(&plain, uid, d), "uid {uid} {d:?}");
+                assert_eq!(
+                    walk(&grouped, uid, d),
+                    walk(&plain, uid, d),
+                    "uid {uid} {d:?}"
+                );
             }
         }
         // Unlink one self-loop: the chain pointers the importer wrote must
         // splice cleanly.
         for db in [&grouped, &plain] {
-            let lp = db.rels(alice, follows, Direction::Outgoing).map(|r| r.unwrap()).find(|(_, r)| r.dst == alice);
+            let lp = db
+                .rels(alice, follows, Direction::Outgoing)
+                .map(|r| r.unwrap())
+                .find(|(_, r)| r.dst == alice);
             let mut tx = db.begin_write().unwrap();
             tx.delete_rel(lp.unwrap().0).unwrap();
             tx.commit().unwrap();
         }
         for d in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
-            assert_eq!(walk(&grouped, 1, d), walk(&plain, 1, d), "{d:?} after delete");
+            assert_eq!(
+                walk(&grouped, 1, d),
+                walk(&plain, 1, d),
+                "{d:?} after delete"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -756,17 +848,26 @@ mod tests {
         // A node with both follows and posts edges: its chain must be laid
         // out with same-type runs contiguous, and groups must point at runs.
         let dir = tmpdir("grp");
-        let db = GraphDb::open_memory(DbConfig { page_cache_pages: 512, dense_node_threshold: 1 })
-            .unwrap();
+        let db = GraphDb::open_memory(DbConfig {
+            page_cache_pages: 512,
+            dense_node_threshold: 1,
+        })
+        .unwrap();
         let source = tiny_source(&dir);
         bulk_import(&db, &source, &ImportOptions::default()).unwrap();
         let alice = db.index_seek("user", "uid", &Value::Int(1)).unwrap()[0];
         let follows = db.rel_type_id("follows").unwrap();
         // Group-accelerated typed walk equals filtered full walk.
-        let via_group: Vec<NodeId> =
-            db.neighbors(alice, Some(follows), Direction::Outgoing).map(|r| r.unwrap()).collect();
+        let via_group: Vec<NodeId> = db
+            .neighbors(alice, Some(follows), Direction::Outgoing)
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(via_group.len(), 2);
-        assert_eq!(db.degree(alice, Some(follows), Direction::Outgoing).unwrap(), 2);
+        assert_eq!(
+            db.degree(alice, Some(follows), Direction::Outgoing)
+                .unwrap(),
+            2
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -47,9 +47,9 @@ pub mod txn;
 
 pub use db::{DbConfig, GraphDb};
 pub use error::ArborError;
-pub use statistics::{GraphStatistics, RelTypeStats};
 pub use micrograph_common::ids::Direction;
 pub use micrograph_common::{EdgeId, LabelId, NodeId, Value};
+pub use statistics::{GraphStatistics, RelTypeStats};
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, ArborError>;

@@ -363,7 +363,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain corrupt")]
     fn rel_next_for_non_endpoint_panics() {
-        let r = RelRecord { in_use: true, src: NodeId(1), dst: NodeId(2), ..Default::default() };
+        let r = RelRecord {
+            in_use: true,
+            src: NodeId(1),
+            dst: NodeId(2),
+            ..Default::default()
+        };
         let _ = r.next_for(NodeId(9));
     }
 

@@ -47,7 +47,11 @@ pub struct RelTypeStats {
 
 impl Default for RelTypeStats {
     fn default() -> Self {
-        RelTypeStats { edges: 0, out_hist: [0; DEGREE_BUCKETS], in_hist: [0; DEGREE_BUCKETS] }
+        RelTypeStats {
+            edges: 0,
+            out_hist: [0; DEGREE_BUCKETS],
+            in_hist: [0; DEGREE_BUCKETS],
+        }
     }
 }
 
@@ -212,7 +216,12 @@ impl GraphStatistics {
 
     /// Live nodes with `label` (0 when unseen).
     pub fn node_count(&self, label: LabelId) -> u64 {
-        self.inner.read().node_counts.get(label.index()).copied().unwrap_or(0)
+        self.inner
+            .read()
+            .node_counts
+            .get(label.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Live nodes summed over all labels.
@@ -237,13 +246,21 @@ impl GraphStatistics {
 
     /// Nodes with ≥ 1 edge of type `t` in `dir` (`Both` reads the in-side).
     pub fn participants(&self, t: u32, dir: Direction) -> u64 {
-        self.inner.read().rel.get(t as usize).map_or(0, |r| r.participants(dir))
+        self.inner
+            .read()
+            .rel
+            .get(t as usize)
+            .map_or(0, |r| r.participants(dir))
     }
 
     /// Mean fan-out of a `t`-typed expansion in `dir` among participating
     /// nodes; `Both` sums both directions; 0 when no such edges exist.
     pub fn avg_degree(&self, t: u32, dir: Direction) -> f64 {
-        self.inner.read().rel.get(t as usize).map_or(0.0, |r| r.avg_degree(dir))
+        self.inner
+            .read()
+            .rel
+            .get(t as usize)
+            .map_or(0.0, |r| r.avg_degree(dir))
     }
 
     /// Mean untyped fan-out per node over the whole graph (both directions

@@ -89,7 +89,10 @@ impl<'a> Traversal<'a> {
             db,
             order: Order::BreadthFirst,
             uniqueness: Uniqueness::NodeGlobal,
-            expander: Expander { rel_type: None, dir: Direction::Both },
+            expander: Expander {
+                rel_type: None,
+                dir: Direction::Both,
+            },
             min_depth: 1,
             max_depth: 1,
             evaluator: None,
@@ -135,7 +138,10 @@ impl<'a> Traversal<'a> {
         seen.insert(start);
         // (node, depth); VecDeque front-pop for BFS, back-pop for DFS.
         let mut frontier: VecDeque<Visit> = VecDeque::new();
-        frontier.push_back(Visit { node: start, depth: 0 });
+        frontier.push_back(Visit {
+            node: start,
+            depth: 0,
+        });
 
         while let Some(visit) = match self.order {
             Order::BreadthFirst => frontier.pop_front(),
@@ -175,7 +181,10 @@ impl<'a> Traversal<'a> {
                 if self.uniqueness == Uniqueness::NodeGlobal && !seen.insert(next) {
                     continue;
                 }
-                frontier.push_back(Visit { node: next, depth: visit.depth + 1 });
+                frontier.push_back(Visit {
+                    node: next,
+                    depth: visit.depth + 1,
+                });
             }
         }
         Ok(out)
@@ -218,8 +227,7 @@ pub fn shortest_path(
                 break;
             }
         }
-        if fwd_depth + bwd_depth >= max_hops || fwd_frontier.is_empty() || bwd_frontier.is_empty()
-        {
+        if fwd_depth + bwd_depth >= max_hops || fwd_frontier.is_empty() || bwd_frontier.is_empty() {
             break;
         }
         // Expand the smaller frontier one full level.
@@ -227,7 +235,13 @@ pub fn shortest_path(
         let (frontier, mine, other, d, my_depth) = if expand_fwd {
             (&mut fwd_frontier, &mut fwd, &bwd, dir, fwd_depth + 1)
         } else {
-            (&mut bwd_frontier, &mut bwd, &fwd, dir.reverse(), bwd_depth + 1)
+            (
+                &mut bwd_frontier,
+                &mut bwd,
+                &fwd,
+                dir.reverse(),
+                bwd_depth + 1,
+            )
         };
         let mut next_frontier = Vec::new();
         for &n in frontier.iter() {
@@ -254,7 +268,9 @@ pub fn shortest_path(
         }
     }
 
-    let Some((len, meet)) = best else { return Ok(None) };
+    let Some((len, meet)) = best else {
+        return Ok(None);
+    };
     if len > max_hops {
         return Ok(None);
     }
@@ -337,10 +353,15 @@ mod tests {
     /// 4 -> 0        (cycle back)
     /// ```
     fn chain_db() -> (GraphDb, Vec<NodeId>, u32) {
-        let db = GraphDb::open_memory(DbConfig { page_cache_pages: 256, dense_node_threshold: 1000 })
-            .unwrap();
+        let db = GraphDb::open_memory(DbConfig {
+            page_cache_pages: 256,
+            dense_node_threshold: 1000,
+        })
+        .unwrap();
         let mut tx = db.begin_write().unwrap();
-        let nodes: Vec<NodeId> = (0..5).map(|_| tx.create_node("user", &[]).unwrap()).collect();
+        let nodes: Vec<NodeId> = (0..5)
+            .map(|_| tx.create_node("user", &[]).unwrap())
+            .collect();
         for w in nodes.windows(2) {
             tx.create_rel(w[0], w[1], "follows", &[]).unwrap();
         }
@@ -436,12 +457,16 @@ mod tests {
     #[test]
     fn shortest_path_respects_max_hops() {
         let (db, n, t) = chain_db();
-        assert!(shortest_path(&db, n[0], n[4], Some(t), Direction::Outgoing, 2)
-            .unwrap()
-            .is_none());
-        assert!(shortest_path(&db, n[0], n[4], Some(t), Direction::Outgoing, 3)
-            .unwrap()
-            .is_some());
+        assert!(
+            shortest_path(&db, n[0], n[4], Some(t), Direction::Outgoing, 2)
+                .unwrap()
+                .is_none()
+        );
+        assert!(
+            shortest_path(&db, n[0], n[4], Some(t), Direction::Outgoing, 3)
+                .unwrap()
+                .is_some()
+        );
     }
 
     #[test]
@@ -460,7 +485,9 @@ mod tests {
         let a = tx.create_node("user", &[]).unwrap();
         let b = tx.create_node("user", &[]).unwrap();
         tx.commit().unwrap();
-        assert!(shortest_path(&db, a, b, None, Direction::Both, 10).unwrap().is_none());
+        assert!(shortest_path(&db, a, b, None, Direction::Both, 10)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -468,9 +495,8 @@ mod tests {
         let (db, n, t) = chain_db();
         for (from, to) in [(n[0], n[4]), (n[1], n[0]), (n[3], n[1])] {
             let bi = shortest_path(&db, from, to, Some(t), Direction::Outgoing, 6).unwrap();
-            let uni =
-                shortest_path_unidirectional(&db, from, to, Some(t), Direction::Outgoing, 6)
-                    .unwrap();
+            let uni = shortest_path_unidirectional(&db, from, to, Some(t), Direction::Outgoing, 6)
+                .unwrap();
             assert_eq!(
                 bi.as_ref().map(|p| p.len()),
                 uni.as_ref().map(|p| p.len()),

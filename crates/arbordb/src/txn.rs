@@ -110,24 +110,40 @@ impl<'a> TxCtx<'a> {
     /// Creates a logged context; emits the `Begin` record.
     pub fn logged(wal: &'a Mutex<Wal>, tx: TxId) -> Result<Self> {
         wal.lock().append(&WalRecord::Begin { tx })?;
-        Ok(TxCtx { sink: WalSink::Logged { wal, tx }, undo: Vec::new() })
+        Ok(TxCtx {
+            sink: WalSink::Logged { wal, tx },
+            undo: Vec::new(),
+        })
     }
 
     /// Creates an unlogged (bulk import) context.
     pub fn unlogged() -> Self {
-        TxCtx { sink: WalSink::Unlogged, undo: Vec::new() }
+        TxCtx {
+            sink: WalSink::Unlogged,
+            undo: Vec::new(),
+        }
     }
 
     /// Creates an undo-only context (in-memory databases).
     pub fn undo_only() -> Self {
-        TxCtx { sink: WalSink::UndoOnly, undo: Vec::new() }
+        TxCtx {
+            sink: WalSink::UndoOnly,
+            undo: Vec::new(),
+        }
     }
 
     /// Creates a buffered group-commit context. Unlike [`TxCtx::logged`]
     /// this appends nothing yet — the `Begin` record is part of the
     /// commit-time tape.
     pub fn buffered(wal: &'a Mutex<Wal>, tx: TxId) -> Self {
-        TxCtx { sink: WalSink::Buffered { wal, tx, pending: Vec::new() }, undo: Vec::new() }
+        TxCtx {
+            sink: WalSink::Buffered {
+                wal,
+                tx,
+                pending: Vec::new(),
+            },
+            undo: Vec::new(),
+        }
     }
 
     /// True when this context performs WAL logging.
@@ -265,7 +281,12 @@ mod tests {
 
     #[test]
     fn tag_roundtrip() {
-        for tag in [StoreTag::Nodes, StoreTag::Rels, StoreTag::Props, StoreTag::Blob] {
+        for tag in [
+            StoreTag::Nodes,
+            StoreTag::Rels,
+            StoreTag::Props,
+            StoreTag::Blob,
+        ] {
             let t = tag_page(tag, PageId(12345));
             assert_eq!(untag_page(t), Some((tag, PageId(12345))));
         }
@@ -276,7 +297,8 @@ mod tests {
     fn unlogged_ctx_skips_wal() {
         let mut ctx = TxCtx::unlogged();
         assert!(!ctx.is_logged());
-        ctx.log_write(StoreTag::Nodes, PageId(0), 0, &[0], &[1]).unwrap();
+        ctx.log_write(StoreTag::Nodes, PageId(0), 0, &[0], &[1])
+            .unwrap();
         let undo = ctx.abort().unwrap();
         assert!(undo.is_empty());
     }
@@ -289,8 +311,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let wal = Mutex::new(Wal::open(&path).unwrap());
         let mut ctx = TxCtx::logged(&wal, 7).unwrap();
-        ctx.log_write(StoreTag::Nodes, PageId(1), 0, &[1], &[2]).unwrap();
-        ctx.log_write(StoreTag::Rels, PageId(2), 8, &[3], &[4]).unwrap();
+        ctx.log_write(StoreTag::Nodes, PageId(1), 0, &[1], &[2])
+            .unwrap();
+        ctx.log_write(StoreTag::Rels, PageId(2), 8, &[3], &[4])
+            .unwrap();
         let undo = ctx.abort().unwrap();
         assert_eq!(undo.len(), 2);
         assert_eq!(undo[0].store, StoreTag::Rels, "undo is newest-first");
@@ -309,7 +333,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let wal = Mutex::new(Wal::open(&path).unwrap());
         let mut ctx = TxCtx::logged(&wal, 9).unwrap();
-        ctx.log_write(StoreTag::Props, PageId(0), 4, &[0, 0], &[5, 6]).unwrap();
+        ctx.log_write(StoreTag::Props, PageId(0), 4, &[0, 0], &[5, 6])
+            .unwrap();
         let n = ctx.commit().unwrap();
         assert_eq!(n, 1);
         drop(wal);

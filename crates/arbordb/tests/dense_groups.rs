@@ -3,7 +3,9 @@
 //! after transactional writes invalidate them.
 
 use arbordb::db::{DbConfig, GraphDb};
-use arbordb::import::{bulk_import, ColumnSpec, ColumnType, ImportOptions, ImportSource, NodeFile, RelFile};
+use arbordb::import::{
+    bulk_import, ColumnSpec, ColumnType, ImportOptions, ImportSource, NodeFile, RelFile,
+};
 use arbordb::{Direction, NodeId, Value};
 use std::io::Write as _;
 
@@ -45,7 +47,10 @@ fn star_db(threshold: u32, fan: usize) -> (GraphDb, Guard) {
     }
     let w = |name: &str, content: &str| {
         let p = dir.join(name);
-        std::fs::File::create(&p).unwrap().write_all(content.as_bytes()).unwrap();
+        std::fs::File::create(&p)
+            .unwrap()
+            .write_all(content.as_bytes())
+            .unwrap();
         p
     };
     let source = ImportSource {
@@ -87,8 +92,11 @@ fn star_db(threshold: u32, fan: usize) -> (GraphDb, Guard) {
         ],
         indexes: vec![("user".into(), "uid".into())],
     };
-    let db = GraphDb::open_memory(DbConfig { page_cache_pages: 2048, dense_node_threshold: threshold })
-        .unwrap();
+    let db = GraphDb::open_memory(DbConfig {
+        page_cache_pages: 2048,
+        dense_node_threshold: threshold,
+    })
+    .unwrap();
     bulk_import(&db, &source, &ImportOptions::default()).unwrap();
     (db, Guard(dir))
 }
@@ -99,8 +107,10 @@ fn hub(db: &GraphDb) -> NodeId {
 
 fn typed_out(db: &GraphDb, n: NodeId, ty: &str) -> Vec<u64> {
     let t = db.rel_type_id(ty).unwrap();
-    let mut v: Vec<u64> =
-        db.neighbors(n, Some(t), Direction::Outgoing).map(|r| r.unwrap().raw()).collect();
+    let mut v: Vec<u64> = db
+        .neighbors(n, Some(t), Direction::Outgoing)
+        .map(|r| r.unwrap().raw())
+        .collect();
     v.sort_unstable();
     v
 }
@@ -112,14 +122,24 @@ fn grouped_and_ungrouped_answers_agree() {
     assert!(!with_groups.groups_is_empty_for_test(), "hub must be dense");
     let h1 = hub(&with_groups);
     let h2 = hub(&without_groups);
-    assert_eq!(typed_out(&with_groups, h1, "follows"), typed_out(&without_groups, h2, "follows"));
-    assert_eq!(typed_out(&with_groups, h1, "posts"), typed_out(&without_groups, h2, "posts"));
     assert_eq!(
-        with_groups.degree(h1, with_groups.rel_type_id("follows"), Direction::Outgoing).unwrap(),
+        typed_out(&with_groups, h1, "follows"),
+        typed_out(&without_groups, h2, "follows")
+    );
+    assert_eq!(
+        typed_out(&with_groups, h1, "posts"),
+        typed_out(&without_groups, h2, "posts")
+    );
+    assert_eq!(
+        with_groups
+            .degree(h1, with_groups.rel_type_id("follows"), Direction::Outgoing)
+            .unwrap(),
         200
     );
     assert_eq!(
-        with_groups.degree(h1, with_groups.rel_type_id("follows"), Direction::Incoming).unwrap(),
+        with_groups
+            .degree(h1, with_groups.rel_type_id("follows"), Direction::Incoming)
+            .unwrap(),
         66
     );
 }
@@ -156,7 +176,9 @@ fn transactional_write_invalidates_but_stays_correct() {
     // Add one more followee transactionally: the chain-head prepend breaks
     // the import-time ordering, so the hub's groups must be dropped.
     let mut tx = db.begin_write().unwrap();
-    let fresh = tx.create_node("user", &[("uid", Value::Int(10_000))]).unwrap();
+    let fresh = tx
+        .create_node("user", &[("uid", Value::Int(10_000))])
+        .unwrap();
     tx.create_rel(h, fresh, "follows", &[]).unwrap();
     tx.commit().unwrap();
 
@@ -168,5 +190,9 @@ fn transactional_write_invalidates_but_stays_correct() {
     }
     // Typed posts expansion still correct through the fallback scan.
     assert_eq!(typed_out(&db, h, "posts").len(), 5);
-    assert_eq!(db.degree(h, db.rel_type_id("follows"), Direction::Outgoing).unwrap(), 121);
+    assert_eq!(
+        db.degree(h, db.rel_type_id("follows"), Direction::Outgoing)
+            .unwrap(),
+        121
+    );
 }

@@ -27,11 +27,17 @@ fn graph_spec() -> impl Strategy<Value = GraphSpec> {
 }
 
 fn build(spec: &GraphSpec) -> (GraphDb, Vec<NodeId>) {
-    let db = GraphDb::open_memory(DbConfig { page_cache_pages: 128, dense_node_threshold: 4 })
-        .unwrap();
+    let db = GraphDb::open_memory(DbConfig {
+        page_cache_pages: 128,
+        dense_node_threshold: 4,
+    })
+    .unwrap();
     let mut tx = db.begin_write().unwrap();
     let ids: Vec<NodeId> = (0..spec.nodes)
-        .map(|i| tx.create_node("user", &[("uid", Value::Int(i as i64))]).unwrap())
+        .map(|i| {
+            tx.create_node("user", &[("uid", Value::Int(i as i64))])
+                .unwrap()
+        })
         .collect();
     for &(s, d, t) in &spec.edges {
         tx.create_rel(ids[s], ids[d], REL_TYPES[t], &[]).unwrap();

@@ -99,7 +99,10 @@ impl DiskBackend {
                 path.display()
             )));
         }
-        Ok(DiskBackend { file, pages: len / PAGE_SIZE as u64 })
+        Ok(DiskBackend {
+            file,
+            pages: len / PAGE_SIZE as u64,
+        })
     }
 
     fn seek_to(&mut self, id: PageId) -> Result<()> {

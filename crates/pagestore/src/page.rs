@@ -32,7 +32,9 @@ impl Default for Page {
 impl Page {
     /// A page of all zero bytes.
     pub fn zeroed() -> Self {
-        Page { data: Box::new([0u8; PAGE_SIZE]) }
+        Page {
+            data: Box::new([0u8; PAGE_SIZE]),
+        }
     }
 
     /// Builds a page from raw bytes.
@@ -158,7 +160,11 @@ impl<'a> SlottedPage<'a> {
 
     fn free_end(&self) -> usize {
         let fe = self.page.read_u16(2) as usize;
-        if fe == 0 { PAGE_SIZE } else { fe }
+        if fe == 0 {
+            PAGE_SIZE
+        } else {
+            fe
+        }
     }
 
     /// Bytes currently available for a new cell (including its slot entry).

@@ -68,7 +68,12 @@ impl WalRecord {
             WalRecord::Begin { tx } | WalRecord::Commit { tx } | WalRecord::Abort { tx } => {
                 out.extend_from_slice(&tx.to_le_bytes());
             }
-            WalRecord::Update { tx, page, offset, bytes } => {
+            WalRecord::Update {
+                tx,
+                page,
+                offset,
+                bytes,
+            } => {
                 out.extend_from_slice(&tx.to_le_bytes());
                 out.extend_from_slice(&page.raw().to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
@@ -90,9 +95,15 @@ impl WalRecord {
                 .ok_or_else(|| CommonError::Corruption("short wal payload".into()))
         };
         match kind {
-            1 => Ok(WalRecord::Begin { tx: take_u64(payload, 0)? }),
-            3 => Ok(WalRecord::Commit { tx: take_u64(payload, 0)? }),
-            4 => Ok(WalRecord::Abort { tx: take_u64(payload, 0)? }),
+            1 => Ok(WalRecord::Begin {
+                tx: take_u64(payload, 0)?,
+            }),
+            3 => Ok(WalRecord::Commit {
+                tx: take_u64(payload, 0)?,
+            }),
+            4 => Ok(WalRecord::Abort {
+                tx: take_u64(payload, 0)?,
+            }),
             2 => {
                 let tx = take_u64(payload, 0)?;
                 let page = PageId(take_u64(payload, 8)?);
@@ -102,9 +113,16 @@ impl WalRecord {
                     .get(24..24 + len)
                     .ok_or_else(|| CommonError::Corruption("short wal update body".into()))?
                     .to_vec();
-                Ok(WalRecord::Update { tx, page, offset, bytes })
+                Ok(WalRecord::Update {
+                    tx,
+                    page,
+                    offset,
+                    bytes,
+                })
             }
-            k => Err(CommonError::Corruption(format!("unknown wal record kind {k}"))),
+            k => Err(CommonError::Corruption(format!(
+                "unknown wal record kind {k}"
+            ))),
         }
     }
 }
@@ -132,7 +150,8 @@ impl Wal {
         let mut payload = Vec::with_capacity(32);
         rec.encode_payload(&mut payload);
         let crc = checksum(&payload);
-        self.writer.write_all(&(payload.len() as u32).to_le_bytes())?;
+        self.writer
+            .write_all(&(payload.len() as u32).to_le_bytes())?;
         self.writer.write_all(&crc.to_le_bytes())?;
         self.writer.write_all(&[rec.kind()])?;
         self.writer.write_all(&payload)?;
@@ -203,9 +222,12 @@ impl Wal {
         records
             .iter()
             .filter_map(|r| match r {
-                WalRecord::Update { tx, page, offset, bytes } if committed.contains(tx) => {
-                    Some((*page, *offset, bytes.as_slice()))
-                }
+                WalRecord::Update {
+                    tx,
+                    page,
+                    offset,
+                    bytes,
+                } if committed.contains(tx) => Some((*page, *offset, bytes.as_slice())),
                 _ => None,
             })
             .collect()
@@ -239,7 +261,12 @@ mod tests {
         let path = tmp("roundtrip.wal");
         let recs = vec![
             WalRecord::Begin { tx: 1 },
-            WalRecord::Update { tx: 1, page: PageId(3), offset: 64, bytes: vec![1, 2, 3] },
+            WalRecord::Update {
+                tx: 1,
+                page: PageId(3),
+                offset: 64,
+                bytes: vec![1, 2, 3],
+            },
             WalRecord::Commit { tx: 1 },
         ];
         {
@@ -255,7 +282,9 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() {
-        assert!(Wal::read_all(Path::new("/nonexistent/definitely.wal")).unwrap().is_empty());
+        assert!(Wal::read_all(Path::new("/nonexistent/definitely.wal"))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -281,13 +310,28 @@ mod tests {
     fn committed_updates_filters_uncommitted() {
         let recs = vec![
             WalRecord::Begin { tx: 1 },
-            WalRecord::Update { tx: 1, page: PageId(0), offset: 0, bytes: vec![1] },
+            WalRecord::Update {
+                tx: 1,
+                page: PageId(0),
+                offset: 0,
+                bytes: vec![1],
+            },
             WalRecord::Begin { tx: 2 },
-            WalRecord::Update { tx: 2, page: PageId(0), offset: 0, bytes: vec![2] },
+            WalRecord::Update {
+                tx: 2,
+                page: PageId(0),
+                offset: 0,
+                bytes: vec![2],
+            },
             WalRecord::Commit { tx: 1 },
             // tx 2 never commits
             WalRecord::Begin { tx: 3 },
-            WalRecord::Update { tx: 3, page: PageId(1), offset: 8, bytes: vec![3] },
+            WalRecord::Update {
+                tx: 3,
+                page: PageId(1),
+                offset: 8,
+                bytes: vec![3],
+            },
             WalRecord::Abort { tx: 3 },
         ];
         let ups = Wal::committed_updates(&recs);
@@ -307,6 +351,9 @@ mod tests {
         // Still usable after truncation.
         w.append(&WalRecord::Begin { tx: 5 }).unwrap();
         w.sync().unwrap();
-        assert_eq!(Wal::read_all(&path).unwrap(), vec![WalRecord::Begin { tx: 5 }]);
+        assert_eq!(
+            Wal::read_all(&path).unwrap(),
+            vec![WalRecord::Begin { tx: 5 }]
+        );
     }
 }
