@@ -16,7 +16,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 
 /// A mutual-exclusion lock that never poisons: a panic while holding the
 /// guard leaves the data accessible to subsequent lockers.
@@ -100,6 +100,15 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
     }
 
+    /// Exclusive write access if no other guard is held, without blocking.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.0.try_write() {
+            Ok(g) => Some(RwLockWriteGuard(g)),
+            Err(TryLockError::Poisoned(p)) => Some(RwLockWriteGuard(p.into_inner())),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -135,6 +144,14 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.0
+    }
+}
+
+impl<'a, T: ?Sized> RwLockWriteGuard<'a, T> {
+    /// Turns the exclusive guard into a shared one without unlocking, so
+    /// no other writer can get in between.
+    pub fn downgrade(s: Self) -> RwLockReadGuard<'a, T> {
+        RwLockReadGuard(std::sync::RwLockWriteGuard::downgrade(s.0))
     }
 }
 
@@ -174,5 +191,18 @@ mod tests {
         assert_eq!(l.read().len(), 3);
         l.write().push(4);
         assert_eq!(*l.read(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn try_write_fails_while_held_and_downgrade_keeps_writers_out() {
+        let l = RwLock::new(5u32);
+        let r = l.read();
+        assert!(l.try_write().is_none());
+        drop(r);
+        let mut w = l.try_write().expect("no guard held");
+        *w = 6;
+        let r = RwLockWriteGuard::downgrade(w);
+        assert!(l.try_write().is_none());
+        assert_eq!((*r, *l.read()), (6, 6));
     }
 }
